@@ -28,9 +28,21 @@ from .jacobi import EquationForm, defect, _require_xy
 from .poly import MultiPoly, Monomial
 from .rings import RingElement, RingSpec
 
+# Exponents of the A, B, C, D coefficients in A*x*y + B*x + C*y + D.
+_ABCD_MONOMIALS = ((1, 1), (1, 0), (0, 1), (0, 0))
+
+
+class _Family:
+    """Each family names its parameters as dataclass fields and maps them
+    to the coefficients (A, B, C, D) of A*x*y + B*x + C*y + D in `image`."""
+
+    def coefficients(self):
+        # a dataclass's __match_args__ names its fields in order
+        return {name: getattr(self, name) for name in self.__match_args__}
+
 
 @dataclass(frozen=True)
-class LinearBC:
+class LinearBC(_Family):
     """P = B*x + C*y with B^2 + B*C + C = 0 (any characteristic)."""
 
     B: RingElement
@@ -39,13 +51,11 @@ class LinearBC:
     name: ClassVar[str] = "linear_bc"
     shape: ClassVar[str] = "B*x + C*y"
     condition: ClassVar[str] = "B^2 + B*C + C = 0"
-
-    def coefficients(self):
-        return {"B": self.B, "C": self.C}
+    image = staticmethod(lambda B, C, zero: (zero, B, C, zero))
 
 
 @dataclass(frozen=True)
-class Char3Product:
+class Char3Product(_Family):
     """P = A*x*y + B*(x+y) + D with A*D = B^2 - B, characteristic 3 only."""
 
     A: RingElement
@@ -55,13 +65,11 @@ class Char3Product:
     name: ClassVar[str] = "char3_product"
     shape: ClassVar[str] = "A*x*y + B*(x+y) + D"
     condition: ClassVar[str] = "A*D = B^2 - B"
-
-    def coefficients(self):
-        return {"A": self.A, "B": self.B, "D": self.D}
+    image = staticmethod(lambda A, B, D, zero: (A, B, B, D))
 
 
 @dataclass(frozen=True)
-class Char3Affine:
+class Char3Affine(_Family):
     """P = B*x + C*y + D with B^2 + B*C + C = 0, characteristic 3 only."""
 
     B: RingElement
@@ -71,42 +79,55 @@ class Char3Affine:
     name: ClassVar[str] = "char3_affine"
     shape: ClassVar[str] = "B*x + C*y + D"
     condition: ClassVar[str] = "B^2 + B*C + C = 0"
-
-    def coefficients(self):
-        return {"B": self.B, "C": self.C, "D": self.D}
+    image = staticmethod(lambda B, C, D, zero: (zero, B, C, D))
 
 
 FamilyParams = Union[LinearBC, Char3Product, Char3Affine]
 
-_CHAR3_FAMILIES = (Char3Product, Char3Affine)
+
+# The solution families of each characteristic, in the order `families`
+# prints them; a row's members are all the J1 solutions over an integral
+# domain of that characteristic.  A characteristic without a row of its own
+# reads the `None` row, whose members solve J1 in every characteristic.
+# Where two families of a row share a member (A = 0, C = B), `classify`
+# names the later one.
+FAMILY_TABLE = {
+    3: (Char3Product, Char3Affine),
+    None: (LinearBC,),
+}
+
+
+def _member(spec: RingSpec, abcd) -> MultiPoly:
+    """A*x*y + B*x + C*y + D from ring elements or raw values (A, B, C, D)."""
+    return MultiPoly(spec, ("x", "y"), dict(zip(_ABCD_MONOMIALS, abcd)))
 
 
 def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
     """Build the family member over (x, y), validating characteristic and
     the defining coefficient condition."""
-    coeffs = {}
-    for label, value in params.coefficients().items():
-        elem = spec.element(value)
-        coeffs[label] = elem
-    if isinstance(params, _CHAR3_FAMILIES) and spec.characteristic != 3:
-        raise CharMismatch(
-            f"{params.name} requires characteristic 3, {spec} has "
-            f"characteristic {spec.characteristic}")
-    if isinstance(params, Char3Product):
-        A, B, D = coeffs["A"], coeffs["B"], coeffs["D"]
-        if A * D != B * B - B:
-            raise ConditionViolated(f"A*D = B^2 - B fails for {params}")
-        terms = {(1, 1): A, (1, 0): B, (0, 1): B, (0, 0): D}
-    else:
-        B, C = coeffs["B"], coeffs["C"]
-        if not (B * B + B * C + C).is_zero:
-            raise ConditionViolated(f"B^2 + B*C + C = 0 fails for {params}")
-        D = coeffs.get("D", spec.zero())
-        terms = {(1, 0): B, (0, 1): C, (0, 0): D}
-    return MultiPoly(spec, ("x", "y"), terms)
+    values = [spec.element(v) for v in params.coefficients().values()]
+    valid = FAMILY_TABLE.get(spec.characteristic, ()) + FAMILY_TABLE[None]
+    if type(params) not in valid:
+        raise CharMismatch(f"{params.name} is not a family over {spec}")
+    abcd = params.image(*values, spec.zero())
+    if not system_check(*abcd, spec=spec).all_zero:
+        raise ConditionViolated(f"{params.condition} fails for {params}")
+    return _member(spec, abcd)
 
 
 _RESIDUAL_NAMES = ("3*A^2", "3*D*(B+1)", "A*(2*B+C)", "B^2+B*C+C+A*D")
+
+
+def _residuals(spec: RingSpec, a, b, c, d) -> tuple:
+    """The residuals on raw values, cheap enough for `family_members`."""
+    add, mul = spec._radd, spec._rmul
+    three = spec._coerce_raw(3)
+    return (
+        mul(mul(three, a), a),
+        mul(mul(three, d), add(b, spec._rone)),
+        mul(a, add(add(b, b), c)),
+        add(add(mul(b, b), mul(b, c)), add(c, mul(a, d))),
+    )
 
 
 @dataclass(frozen=True)
@@ -134,13 +155,9 @@ def system_check(A, B, C, D, spec: RingSpec | None = None) -> SystemResiduals:
                 break
         else:
             raise TypeError("pass a spec or at least one ring element")
-    A, B, C, D = (spec.element(v) for v in (A, B, C, D))
-    return SystemResiduals((
-        A * A * 3,
-        D * (B + 1) * 3,
-        A * (B * 2 + C),
-        B * B + B * C + C + A * D,
-    ))
+    raw = (spec.element(v).value for v in (A, B, C, D))
+    return SystemResiduals(tuple(RingElement(spec, r)
+                                 for r in _residuals(spec, *raw)))
 
 
 @dataclass(frozen=True)
@@ -166,25 +183,29 @@ def classify(p: MultiPoly, spec: RingSpec | None = None) -> ClassificationResult
     _require_xy(p)
     spec = p.spec
     if p.deg_in("x") <= 1 and p.deg_in("y") <= 1:
-        A = p.coeff((1, 1))
-        B = p.coeff((1, 0))
-        C = p.coeff((0, 1))
-        D = p.coeff((0, 0))
-        if system_check(A, B, C, D).all_zero:
-            if spec.characteristic == 3:
-                if not A.is_zero:
-                    family: FamilyParams = Char3Product(A, B, D)
-                else:
-                    family = Char3Affine(B, C, D)
-            else:
-                family = LinearBC(B, C)
-            assert make_family(family, spec) == p
+        abcd = tuple(p.coeff(m) for m in _ABCD_MONOMIALS)
+        named = dict(zip("ABCD", abcd))
+        # P solves J1 exactly when it is the image of a listed family's
+        # parameters and make_family accepts them; walking the row backwards
+        # names a member that two families share after the later one.
+        row = FAMILY_TABLE.get(spec.characteristic, FAMILY_TABLE[None])
+        for listed in reversed(row):
+            params = [named[name] for name in listed.__match_args__]
+            if listed.image(*params, spec.zero()) != abcd:
+                continue
+            family = listed(*params)
+            try:
+                member = make_family(family, spec)
+            except ConditionViolated:
+                continue
+            if member != p:
+                raise AlgebraError(f"internal: {family} does not rebuild {p}")
             return ClassificationResult(family=family, witness=None)
     lt = defect(p, EquationForm.J1).least_term()
     if lt is None:
         raise AlgebraError(
-            "internal: J1 defect vanished for a polynomial the coefficient "
-            "system rejects")
+            "internal: J1 defect vanished for a polynomial no listed family "
+            "contains")
     return ClassificationResult(family=None, witness=lt)
 
 

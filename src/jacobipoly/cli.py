@@ -19,8 +19,7 @@ import json
 import sys
 import time
 
-from .classify import Char3Affine, Char3Product, LinearBC, classify, \
-    constant_solutions
+from .classify import FAMILY_TABLE, classify, constant_solutions
 from .errors import AlgebraError
 from .jacobi import EquationForm, defect
 from .numtheory import binom_mod_p, lucas_factors
@@ -129,7 +128,7 @@ def _cmd_lucas(args) -> int:
 def _cmd_families(args) -> int:
     spec = RingSpec.parse(args.ring)
     char = spec.characteristic
-    fams = (Char3Product, Char3Affine) if char == 3 else (LinearBC,)
+    fams = FAMILY_TABLE.get(char, FAMILY_TABLE[None])
     rule = constant_solutions(spec)
     payload = {
         "ring": str(spec),

@@ -13,13 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import (
-    Char3Affine,
-    Char3Product,
-    LinearBC,
-    classify,
-    make_family,
-)
+from .classify import FAMILY_TABLE, _member, _residuals, classify
 from .errors import BudgetExceeded, UnsupportedSpec
 from .jacobi import EquationForm, defect, swap
 from .poly import MultiPoly, _grade
@@ -111,24 +105,14 @@ class EnumReport:
 def family_members(space: EnumSpace) -> frozenset[MultiPoly]:
     """Every family member whose coefficients lie in the space."""
     spec = space.spec
-    values = [spec.element(v) for v in space.coefficient_values]
     out = set()
-    if spec.characteristic == 3:
-        for B in values:
-            target = B * B - B
-            for A in values:
-                for D in values:
-                    if A * D == target:
-                        out.add(make_family(Char3Product(A, B, D), spec))
-            for C in values:
-                if (B * B + B * C + C).is_zero:
-                    for D in values:
-                        out.add(make_family(Char3Affine(B, C, D), spec))
-    else:
-        for B in values:
-            for C in values:
-                if (B * B + B * C + C).is_zero:
-                    out.add(make_family(LinearBC(B, C), spec))
+    for family in FAMILY_TABLE.get(spec.characteristic, FAMILY_TABLE[None]):
+        for params in itertools.product(space.coefficient_values,
+                                        repeat=len(family.__match_args__)):
+            abcd = family.image(*params, spec._rzero)
+            # raw zero values (0 and ()) are the only falsy ones
+            if not any(_residuals(spec, *abcd)):
+                out.add(_member(spec, abcd))
     k = space.max_deg_per_var
     return frozenset(p for p in out
                      if p.deg_in("x") <= k and p.deg_in("y") <= k)
@@ -168,11 +152,9 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
 def cross_check_families(space: EnumSpace) -> bool:
     """Exhaustively confirm that the J1 solutions of the space are exactly
     the family members."""
-    solutions = {p for p in space.candidates()
-                 if not defect(p, EquationForm.J1)}
-    return solutions == family_members(space)
+    return enumerate_solutions(space, EquationForm.J1).agreement
 
 
 def degree_bound_report(report: EnumReport) -> bool:
     """Whether every found solution has degree at most 1 per variable."""
-    return all(p.deg_in(v) <= 1 for p in report.solutions for v in _XY)
+    return max(report.max_solution_degrees) <= 1

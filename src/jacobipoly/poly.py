@@ -50,10 +50,6 @@ class Monomial:
 
     exponents: tuple[int, ...]
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
     def text(self, vars: tuple[str, ...]) -> str:
         if len(vars) != len(self.exponents):
             raise VarListMismatch(
@@ -143,7 +139,7 @@ class MultiPoly:
             if len(key) != n:
                 raise VarListMismatch(
                     f"exponent tuple {key} has arity {len(key)}, expected {n}")
-            if any(e < 0 or not isinstance(e, int) for e in key):
+            if any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"bad exponents {key}")
             raw = spec.element(value).value
             if raw == spec._rzero:

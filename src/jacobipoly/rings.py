@@ -154,7 +154,7 @@ class RingSpec:
         """Coerce an int (or, for extensions, a little-endian coefficient
         sequence) into this ring."""
         if isinstance(value, RingElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise SpecMismatch(f"element of {value.spec} used in {self}")
             return value
         return RingElement(self, self._coerce_raw(value))

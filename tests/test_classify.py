@@ -1,5 +1,6 @@
 """Family construction, the coefficient system, and the classifier."""
 
+import importlib
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import random_poly
 from jacobipoly import (
     Char3Affine,
     Char3Product,
+    EnumSpace,
     EquationForm,
     LinearBC,
     MultiPoly,
@@ -15,11 +17,13 @@ from jacobipoly import (
     classify,
     constant_solutions,
     defect,
+    family_members,
     make_family,
     satisfies,
     system_check,
 )
 from jacobipoly.errors import (
+    AlgebraError,
     CharMismatch,
     ConditionViolated,
     SpecMismatch,
@@ -235,3 +239,23 @@ def test_constant_solutions_rule():
     assert not constant_solutions(F5).every_constant
     assert "characteristic 3" in constant_solutions(F3).describe()
     assert "zero constant" in constant_solutions(Z).describe()
+
+
+def test_family_members_round_trip_beyond_small_fields():
+    # rings the exhaustive round trip above does not reach: a larger prime
+    # field and the integer box 6, both at degree 1
+    for space in (EnumSpace(RingSpec.prime_field(7), 1), EnumSpace(Z, 1, 6)):
+        members = family_members(space)
+        assert members
+        for p in members:
+            res = classify(p)
+            assert res.is_solution
+            assert make_family(res.family, space.spec) == p
+
+
+def test_classify_rejects_a_family_that_does_not_rebuild(monkeypatch):
+    module = importlib.import_module("jacobipoly.classify")
+    monkeypatch.setattr(module, "make_family",
+                        lambda params, spec: MultiPoly.zero(spec, XY))
+    with pytest.raises(AlgebraError, match="does not rebuild"):
+        classify(MultiPoly.parse("-2*x + 4*y", Z))

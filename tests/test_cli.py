@@ -144,3 +144,108 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "satisfied" in proc.stdout
+
+
+FAMILIES_HUMAN = {
+    "int": """\
+ring int, characteristic 0
+  linear_bc: P = B*x + C*y with B^2 + B*C + C = 0
+  constants: only the zero constant (characteristic 0)
+""",
+    "zp:2": """\
+ring zp:2, characteristic 2
+  linear_bc: P = B*x + C*y with B^2 + B*C + C = 0
+  constants: only the zero constant (characteristic 2)
+""",
+    "zp:3": """\
+ring zp:3, characteristic 3
+  char3_product: P = A*x*y + B*(x+y) + D with A*D = B^2 - B
+  char3_affine: P = B*x + C*y + D with B^2 + B*C + C = 0
+  constants: every constant (characteristic 3)
+""",
+    "zp:3[t]": """\
+ring zp:3[t], characteristic 3
+  char3_product: P = A*x*y + B*(x+y) + D with A*D = B^2 - B
+  char3_affine: P = B*x + C*y + D with B^2 + B*C + C = 0
+  constants: every constant (characteristic 3)
+""",
+}
+
+LINEAR_JSON = """\
+    {
+      "condition": "B^2 + B*C + C = 0",
+      "family": "linear_bc",
+      "shape": "B*x + C*y"
+    }"""
+
+CHAR3_JSON = """\
+    {
+      "condition": "A*D = B^2 - B",
+      "family": "char3_product",
+      "shape": "A*x*y + B*(x+y) + D"
+    },
+    {
+      "condition": "B^2 + B*C + C = 0",
+      "family": "char3_affine",
+      "shape": "B*x + C*y + D"
+    }"""
+
+
+def _families_json(ring, char, constants, families):
+    return f"""\
+{{
+  "characteristic": {char},
+  "constants": "{constants}",
+  "families": [
+{families}
+  ],
+  "ring": "{ring}"
+}}
+"""
+
+
+FAMILIES_JSON = {
+    "int": _families_json(
+        "int", 0, "only the zero constant (characteristic 0)", LINEAR_JSON),
+    "zp:2": _families_json(
+        "zp:2", 2, "only the zero constant (characteristic 2)", LINEAR_JSON),
+    "zp:3": _families_json(
+        "zp:3", 3, "every constant (characteristic 3)", CHAR3_JSON),
+    "zp:3[t]": _families_json(
+        "zp:3[t]", 3, "every constant (characteristic 3)", CHAR3_JSON),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(FAMILIES_HUMAN))
+def test_families_exact_output(capsys, ring):
+    assert run(["families", "--ring", ring]) == 0
+    assert capsys.readouterr().out == FAMILIES_HUMAN[ring]
+    assert run(["families", "--ring", ring, "--output", "json"]) == 0
+    assert capsys.readouterr().out == FAMILIES_JSON[ring]
+
+
+# (ring, polynomial, human line, JSON family and params) of solutions
+CLASSIFY_GOLDEN = (
+    ("zp:3[t]", GOLDEN,
+     "solution: char3_product with A = 1+2*t^2, B = 1+t+2*t^2+2*t^3, "
+     "D = t+t^3+2*t^4",
+     "char3_product",
+     {"A": "1+2*t^2", "B": "1+t+2*t^2+2*t^3", "D": "t+t^3+2*t^4"}),
+    ("int", "-2*x + 4*y", "solution: linear_bc with B = -2, C = 4",
+     "linear_bc", {"B": "-2", "C": "4"}),
+    ("zp:3", "x + y", "solution: char3_affine with B = 1, C = 1, D = 0",
+     "char3_affine", {"B": "1", "C": "1", "D": "0"}),
+    ("zp:3", "x*y", "solution: char3_product with A = 1, B = 0, D = 0",
+     "char3_product", {"A": "1", "B": "0", "D": "0"}),
+)
+
+
+@pytest.mark.parametrize("ring, poly, human, family, params",
+                         CLASSIFY_GOLDEN)
+def test_classify_exact_output(capsys, ring, poly, human, family, params):
+    assert run(["classify", "--ring", ring, poly]) == 0
+    assert capsys.readouterr().out == human + "\n"
+    assert run(["classify", "--ring", ring, "--output", "json", poly]) == 0
+    payload = {"family": family, "params": params, "verdict": "solution"}
+    assert capsys.readouterr().out == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -337,3 +337,10 @@ def test_hash_consistency(rng):
         q = MultiPoly.parse(str(p), F3)
         assert p == q and hash(p) == hash(q)
     assert len({MultiPoly.parse("x", Z), MultiPoly.parse("x", Z)}) == 1
+
+
+def test_non_integer_exponents_are_value_errors():
+    with pytest.raises(ValueError):
+        MultiPoly(Z, XY, {("a", 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(Z, XY, {(1.5, 0): 1})
