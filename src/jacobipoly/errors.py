@@ -26,6 +26,10 @@ class NotPrime(AlgebraError):
     """A modulus that must be prime is not."""
 
 
+class ModulusTooLarge(AlgebraError):
+    """A modulus too large for `is_prime` to decide exactly."""
+
+
 class SpecMismatch(AlgebraError):
     """Operands built over different ring specs were mixed."""
 

@@ -9,22 +9,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotInS2, NotPrime
+from .errors import ModulusTooLarge, NotInS2, NotPrime
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below
+# psi_13 = _MR_LIMIT (Sorenson and Webster 2015); the bases are also the
+# primes up to 41.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = frozenset(_MR_BASES)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin primality check, exact for n < 3.3e24.
+
+    Raises ModulusTooLarge from there on rather than guess.
+    """
+    if n <= 41:
+        return n in _SMALL_PRIMES
+    if n >= _MR_LIMIT:
+        raise ModulusTooLarge(
+            f"{n} is too large to decide primality (limit {_MR_LIMIT})")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

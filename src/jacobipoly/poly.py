@@ -19,11 +19,13 @@ what violation witnesses use.  deg of the zero polynomial is -1.
 Text grammar
 ------------
 ``poly := ['+'|'-'] term (('+'|'-') term)*`` where a term is a product of
-factors joined by optional ``*``; a factor is an integer literal, a
-variable with optional ``^uint``, or (over an extension ring only) a
-parenthesized univariate expression in the extension variable, e.g.
-``(1+2*t^2)*x*y``.  Whitespace is insignificant.  `parse` and `str` round
-trip: parse(str(p)) == p, and str picks one canonical spelling.
+factors joined by optional ``*``.  A factor is an integer literal, a
+variable, or (over an extension ring only) a parenthesized coefficient,
+e.g. ``(1+2*t^2)*x*y``; any factor may carry one ``^uint``.  A
+parenthesized coefficient is read by the same grammar, with the extension
+variable as its only name.  Whitespace is insignificant.  `parse` and
+`str` round trip: parse(str(p)) == p, and str picks one canonical
+spelling.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ from .errors import (
     VarListMismatch,
 )
 from .rings import EXTENSION, INTEGERS, RingElement, RingSpec
+
+
+# Largest floor(log2 |a|) * e over int, or degree of a^e over F_p[t], that a
+# coefficient power a^e in polynomial text may reach.  Larger powers are
+# refused before they are computed, so a short text cannot demand unbounded
+# work.  F_p needs no bound: pow(a, e, p) is cheap for any e.
+_MAX_POWER_SIZE = 1024
 
 
 def _grade(exps: tuple[int, ...]):
@@ -80,6 +89,16 @@ def _check_vars(spec: RingSpec, vars) -> tuple[str, ...]:
         raise VarListMismatch(
             f"variable {spec.var_name!r} collides with the extension variable")
     return vars
+
+
+def _accumulate(spec: RingSpec, out: dict, key, value) -> None:
+    """Add a raw value into out[key], keeping out free of zero values."""
+    prev = out.get(key)
+    total = value if prev is None else spec._radd(prev, value)
+    if total == spec._rzero:
+        out.pop(key, None)
+    else:
+        out[key] = total
 
 
 # raw-term-dict arithmetic shared with the identity-defect engine
@@ -141,17 +160,7 @@ class MultiPoly:
                     f"exponent tuple {key} has arity {len(key)}, expected {n}")
             if any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"bad exponents {key}")
-            raw = spec.element(value).value
-            if raw == spec._rzero:
-                continue
-            if key in clean:
-                raw2 = spec._radd(clean[key], raw)
-                if raw2 == spec._rzero:
-                    del clean[key]
-                else:
-                    clean[key] = raw2
-            else:
-                clean[key] = raw
+            _accumulate(spec, clean, key, spec.element(value).value)
         self._terms = clean
 
     @classmethod
@@ -418,7 +427,7 @@ class MultiPoly:
     def parse(cls, text: str, spec: RingSpec, vars=("x", "y")) -> MultiPoly:
         """Parse the canonical text grammar over the given variables."""
         vars = _check_vars(spec, vars)
-        terms = _Parser(text, spec, vars).run()
+        terms = _Parser(text, spec, vars).expr(False)
         return cls._from_raw(spec, vars, terms)
 
     def __str__(self) -> str:
@@ -429,18 +438,12 @@ class MultiPoly:
         for m in sorted(self._terms, key=_grade, reverse=True):
             raw = self._terms[m]
             body = _mono_body(m, self.vars)
-            neg = False
-            if spec.kind == EXTENSION:
-                if len(raw) > 1:
-                    coeff = f"({spec._literal(raw)})"
-                else:
-                    d = raw[0] if raw else 0
-                    coeff = "" if (d == 1 and body) else str(d)
-            else:
-                if spec.kind == INTEGERS and raw < 0:
-                    neg = True
-                    raw = -raw
-                coeff = "" if (raw == 1 and body) else str(raw)
+            neg = spec.kind == INTEGERS and raw < 0
+            coeff = spec._literal(-raw if neg else raw)
+            if spec.kind == EXTENSION and len(raw) > 1:
+                coeff = f"({coeff})"
+            elif coeff == "1" and body:
+                coeff = ""
             term = "*".join(p for p in (coeff, body) if p)
             if not pieces:
                 pieces.append(("-" if neg else "") + term)
@@ -453,7 +456,12 @@ class MultiPoly:
 
 
 class _Parser:
-    """Recursive descent over the term grammar in the module docstring."""
+    """Recursive descent over the text grammar in the module docstring.
+
+    The same routines read the polynomial and its parenthesized
+    coefficients.  ``inner`` is set between parentheses: there the
+    extension variable is the only name and ``)`` ends the expression.
+    """
 
     def __init__(self, text: str, spec: RingSpec, vars: tuple[str, ...]):
         self.spec = spec
@@ -469,152 +477,94 @@ class _Parser:
         self.i += 1
         return tok
 
-    def run(self) -> dict:
+    def expr(self, inner: bool) -> dict:
+        """Signed sum of terms, as raw coefficients keyed by exponent tuple."""
         spec = self.spec
         acc: dict = {}
-        sign = 1
-        kind, _, pos = self.peek()
+        kind = self.peek()[0]
+        negate = kind == "-"
         if kind in ("+", "-"):
-            sign = -1 if kind == "-" else 1
             self.take()
         while True:
-            coeff, exps = self.term()
-            if sign < 0:
+            coeff, exps = self.term(inner)
+            if negate:
                 coeff = spec._rneg(coeff)
-            key = tuple(exps)
-            prev = acc.get(key)
-            total = coeff if prev is None else spec._radd(prev, coeff)
-            if total == spec._rzero:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
+            _accumulate(spec, acc, tuple(exps), coeff)
             kind, _, pos = self.peek()
-            if kind == "end":
-                return acc
             if kind in ("+", "-"):
-                sign = -1 if kind == "-" else 1
+                negate = kind == "-"
                 self.take()
-                continue
-            raise ParseError(f"expected '+' or '-', got {kind!r}", pos)
+            elif kind == (")" if inner else "end"):
+                return acc
+            elif inner:
+                raise ParseError("expected '+', '-' or ')'", pos)
+            else:
+                raise ParseError(f"expected '+' or '-', got {kind!r}", pos)
 
-    def term(self):
-        coeff = self.factor(self.spec._rone, exps := [0] * len(self.vars))
-        while True:
-            kind, _, _ = self.peek()
+    def term(self, inner: bool):
+        exps = [0] * len(self.vars)
+        coeff = self.factor(self.spec._rone, exps, inner)
+        while (kind := self.peek()[0]) in ("*", "int", "name", "("):
             if kind == "*":
                 self.take()
-                coeff = self.factor(coeff, exps)
-            elif kind in ("int", "name", "("):
-                coeff = self.factor(coeff, exps)
-            else:
-                return coeff, exps
+            coeff = self.factor(coeff, exps, inner)
+        return coeff, exps
 
-    def factor(self, coeff, exps):
+    def factor(self, coeff, exps: list, inner: bool):
+        """Multiply one factor into the term: a coefficient into ``coeff``,
+        a variable's exponent into ``exps``."""
         spec = self.spec
-        kind, text, pos = self.peek()
+        kind, text, pos = self.take()
         if kind == "int":
-            self.take()
-            raw = self.maybe_power_scalar(spec._coerce_raw(int(text)))
-            return spec._rmul(coeff, raw)
-        if kind == "name":
-            self.take()
+            raw = spec._coerce_raw(int(text))
+        elif kind == "(":
+            if spec.kind != EXTENSION:
+                raise CoefficientNotInRing(
+                    f"parenthesized coefficients are not valid over {spec}")
+            raw = self.expr(True).get((0,) * len(self.vars), spec._rzero)
+            self.take()  # the ")" that ended the inner expression
+        elif kind == "name" and inner:
+            if text != spec.var_name:
+                raise UnknownVariable(
+                    f"{text!r} is not the extension variable {spec.var_name!r}")
+            raw = (0, 1)
+        elif kind == "name":
             if text not in self.vars:
                 if spec.kind == EXTENSION and text == spec.var_name:
                     raise UnknownVariable(
                         f"extension variable {text!r} must appear inside "
                         "parentheses")
                 raise UnknownVariable(f"{text!r} not among {self.vars}")
-            exps[self.vars.index(text)] += self.maybe_exponent()
+            exps[self.vars.index(text)] += self.exponent()
             return coeff
-        if kind == "(":
-            if spec.kind != EXTENSION:
-                raise CoefficientNotInRing(
-                    f"parenthesized coefficients are not valid over {spec}")
-            self.take()
-            raw = self.cexpr()
-            k2, _, pos2 = self.take()
-            if k2 != ")":
-                raise ParseError("expected ')'", pos2)
-            raw = self.maybe_power_scalar(raw)
-            return spec._rmul(coeff, raw)
-        raise ParseError("expected a factor", pos)
+        else:
+            raise ParseError("expected a coefficient factor" if inner
+                             else "expected a factor", pos)
+        caret = self.peek()[2]
+        e = self.exponent()
+        if e != 1:
+            if spec.kind == INTEGERS:
+                size = abs(raw).bit_length() - 1
+            elif spec.kind == EXTENSION:
+                size = len(raw) - 1
+            else:
+                size = 0
+            if size * e > _MAX_POWER_SIZE:
+                raise ParseError(
+                    f"coefficient power too large: size {size} times "
+                    f"exponent {e} exceeds {_MAX_POWER_SIZE}", caret)
+            raw = spec._rpow(raw, e)
+        return spec._rmul(coeff, raw)
 
-    def maybe_exponent(self) -> int:
-        kind, _, _ = self.peek()
-        if kind != "^":
+    def exponent(self) -> int:
+        """The ``^uint`` after a factor, or 1 when there is none."""
+        if self.peek()[0] != "^":
             return 1
         self.take()
-        k2, text, pos = self.take()
-        if k2 != "int":
+        kind, text, pos = self.take()
+        if kind != "int":
             raise ParseError("expected an integer exponent", pos)
         return int(text)
-
-    def maybe_power_scalar(self, raw):
-        kind, _, _ = self.peek()
-        if kind != "^":
-            return raw
-        self.take()
-        k2, text, pos = self.take()
-        if k2 != "int":
-            raise ParseError("expected an integer exponent", pos)
-        return self.spec._rpow(raw, int(text))
-
-    # univariate expression in the extension variable, between parentheses
-
-    def cexpr(self):
-        spec = self.spec
-        acc = spec._rzero
-        sign = 1
-        kind, _, _ = self.peek()
-        if kind in ("+", "-"):
-            sign = -1 if kind == "-" else 1
-            self.take()
-        while True:
-            v = self.cterm()
-            if sign < 0:
-                v = spec._rneg(v)
-            acc = spec._radd(acc, v)
-            kind, _, pos = self.peek()
-            if kind in ("+", "-"):
-                sign = -1 if kind == "-" else 1
-                self.take()
-                continue
-            if kind == ")":
-                return acc
-            raise ParseError("expected '+', '-' or ')'", pos)
-
-    def cterm(self):
-        out = self.cfactor()
-        while True:
-            kind, _, _ = self.peek()
-            if kind == "*":
-                self.take()
-                out = self.spec._rmul(out, self.cfactor())
-            elif kind in ("int", "name", "("):
-                out = self.spec._rmul(out, self.cfactor())
-            else:
-                return out
-
-    def cfactor(self):
-        spec = self.spec
-        kind, text, pos = self.peek()
-        if kind == "int":
-            self.take()
-            return self.maybe_power_scalar(spec._coerce_raw(int(text)))
-        if kind == "name":
-            self.take()
-            if text != spec.var_name:
-                raise UnknownVariable(
-                    f"{text!r} is not the extension variable {spec.var_name!r}")
-            return spec._rpow((0, 1), self.maybe_exponent())
-        if kind == "(":
-            self.take()
-            raw = self.cexpr()
-            k2, _, pos2 = self.take()
-            if k2 != ")":
-                raise ParseError("expected ')'", pos2)
-            return self.maybe_power_scalar(raw)
-        raise ParseError("expected a coefficient factor", pos)
 
 
 def _tokenize(text: str):

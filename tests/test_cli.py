@@ -125,6 +125,13 @@ def test_parse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_oversized_input_exits_2(capsys):
+    assert run(["verify", "--ring", "int", "2^999999999*x"]) == 2
+    assert run(["verify", "--ring", f"zp:{2**89 - 1}", "x"]) == 2
+    assert run(["lucas", "10", "3", str(2**89 - 1)]) == 2
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         run(["verify", "--ring", "int", "--bogus-flag", "x"])

@@ -14,13 +14,31 @@ from jacobipoly import (
     lucas_factors,
     s2_parts,
 )
-from jacobipoly.errors import NotInS2, NotPrime
+from jacobipoly.errors import ModulusTooLarge, NotInS2, NotPrime
 
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert is_prime(7919)
     assert not is_prime(7917)
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n) != trial_division(n)] == []
+
+
+def test_is_prime_large():
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * 1000003)
+    # 2^89 - 1 is prime, but beyond the range the bases decide exactly
+    with pytest.raises(ModulusTooLarge):
+        is_prime(2**89 - 1)
 
 
 def test_base_p_digits_examples():

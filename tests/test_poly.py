@@ -1,5 +1,7 @@
 """Polynomial construction, canonical text, arithmetic, and substitution."""
 
+import time
+
 import pytest
 
 from conftest import random_element, random_poly
@@ -11,6 +13,7 @@ from jacobipoly.errors import (
     UnknownVariable,
     VarListMismatch,
 )
+from jacobipoly.poly import _MAX_POWER_SIZE
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -77,6 +80,44 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as info:
         MultiPoly.parse("x + $", Z)
     assert info.value.position == 4
+
+
+def test_parenthesized_coefficients_use_the_polynomial_grammar():
+    assert MultiPoly.parse("((1+t))^2*x", E3) == \
+        MultiPoly.parse("(1+2*t+t^2)*x", E3)
+    assert MultiPoly.parse("(t)^0*x", E3) == MultiPoly.parse("x", E3)
+    assert MultiPoly.parse("2^0*x", Z) == MultiPoly.parse("x", Z)
+    for text, position in (("(1+)*x", 3), ("(1+t", 4)):
+        with pytest.raises(ParseError) as info:
+            MultiPoly.parse(text, E3)
+        assert info.value.position == position
+    with pytest.raises(UnknownVariable):
+        MultiPoly.parse("(x)*y", E3)
+
+
+def test_coefficient_powers_are_bounded():
+    for text, spec in (("2^999999999*x", Z), ("(1+t)^999999999*x", E3)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            MultiPoly.parse(text, spec)
+        assert time.perf_counter() - start < 1
+        assert info.value.position == text.index("^")
+    # reduced as it is computed, so F_p takes any exponent
+    assert MultiPoly.parse("2^999999999*x", F3) == MultiPoly.parse("2*x", F3)
+    # the bound is on the result, so 1 and -1 take any exponent
+    assert MultiPoly.parse("1^999999999*x", Z) == MultiPoly.parse("x", Z)
+    assert MultiPoly.parse("(-1)^999999999*x", E3) == \
+        MultiPoly.parse("2*x", E3)
+    e = _MAX_POWER_SIZE
+    assert MultiPoly.parse(f"2^{e}*x", Z).coeff((1, 0)) == 2**e
+    assert MultiPoly.parse(f"(1+t)^{e}", E3).coeff((0, 0)) == \
+        (1 + E3.generator())**e
+    with pytest.raises(ParseError):
+        MultiPoly.parse(f"2^{e + 1}*x", Z)
+    with pytest.raises(ParseError):
+        MultiPoly.parse(f"(1+t)^{e + 1}", E3)
+    with pytest.raises(ParseError):
+        MultiPoly.parse(f"((1+t)^{e})^2", E3)
 
 
 def test_parse_unknown_variables():

@@ -1,10 +1,13 @@
 """Ring spec construction, canonical element arithmetic, and the axioms."""
 
+import time
+
 import pytest
 
 from conftest import random_element
 from jacobipoly import RingSpec
-from jacobipoly.errors import NotPrime, ParseError, SpecMismatch
+from jacobipoly.errors import (ModulusTooLarge, NotPrime, ParseError,
+                               SpecMismatch)
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -34,6 +37,14 @@ def test_nonprime_modulus_rejected():
             RingSpec.prime_field(p)
     with pytest.raises(NotPrime):
         RingSpec.extension(8, "t")
+
+
+def test_large_modulus_is_decided_quickly():
+    start = time.perf_counter()
+    assert RingSpec.parse("zp:1000000000000000003").p == 10**18 + 3
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ModulusTooLarge):
+        RingSpec.parse(f"zp:{2**89 - 1}")
 
 
 def test_spec_equality_and_hash():
