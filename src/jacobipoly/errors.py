@@ -30,6 +30,10 @@ class ModulusTooLarge(AlgebraError):
     """A modulus too large for `is_prime` to decide exactly."""
 
 
+class CoefficientTooLarge(AlgebraError):
+    """An integer coefficient too long for the interpreter to print."""
+
+
 class SpecMismatch(AlgebraError):
     """Operands built over different ring specs were mixed."""
 

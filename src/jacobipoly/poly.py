@@ -30,6 +30,7 @@ spelling.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -39,14 +40,17 @@ from .errors import (
     UnknownVariable,
     VarListMismatch,
 )
-from .rings import EXTENSION, INTEGERS, RingElement, RingSpec
+from .rings import (_IDENT, EXTENSION, INTEGERS, RingElement, RingSpec,
+                    _square_multiply)
 
 
 # Largest floor(log2 |a|) * e over int, or degree of a^e over F_p[t], that a
 # coefficient power a^e in polynomial text may reach.  Larger powers are
 # refused before they are computed, so a short text cannot demand unbounded
-# work.  F_p needs no bound: pow(a, e, p) is cheap for any e.
+# work.  F_p needs no bound: a^e mod p takes about 2*log2(e) steps.
 _MAX_POWER_SIZE = 1024
+
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _grade(exps: tuple[int, ...]):
@@ -83,7 +87,7 @@ def _check_vars(spec: RingSpec, vars) -> tuple[str, ...]:
     if len(set(vars)) != len(vars):
         raise VarListMismatch(f"repeated variable in {vars}")
     for v in vars:
-        if not isinstance(v, str) or not v or not (v[0].isalpha() or v[0] == "_"):
+        if not isinstance(v, str) or not _IDENT.fullmatch(v):
             raise VarListMismatch(f"bad variable name {v!r}")
     if spec.kind == EXTENSION and spec.var_name in vars:
         raise VarListMismatch(
@@ -101,21 +105,12 @@ def _accumulate(spec: RingSpec, out: dict, key, value) -> None:
         out[key] = total
 
 
-# raw-term-dict arithmetic shared with the identity-defect engine
+# raw-term-dict arithmetic; `defect` also runs _mul_raw
 
 def _add_raw(spec: RingSpec, a: dict, b: dict) -> dict:
-    radd, rzero = spec._radd, spec._rzero
     out = dict(a)
     for m, v in b.items():
-        prev = out.get(m)
-        if prev is None:
-            out[m] = v
-        else:
-            s = radd(prev, v)
-            if s == rzero:
-                del out[m]
-            else:
-                out[m] = s
+        _accumulate(spec, out, m, v)
     return out
 
 
@@ -273,12 +268,7 @@ class MultiPoly:
             _add_raw(self.spec, self._terms, _neg_raw(self.spec, t)))
 
     def __rsub__(self, other):
-        t = self._operand(other)
-        if t is None:
-            return NotImplemented
-        return MultiPoly._from_raw(
-            self.spec, self.vars,
-            _add_raw(self.spec, t, _neg_raw(self.spec, self._terms)))
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         t = self._operand(other)
@@ -296,14 +286,9 @@ class MultiPoly:
     def __pow__(self, e: int) -> MultiPoly:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = {(0,) * len(self.vars): self.spec._rone}
-        base = self._terms
-        while e:
-            if e & 1:
-                out = _mul_raw(self.spec, out, base)
-            e >>= 1
-            if e:
-                base = _mul_raw(self.spec, base, base)
+        spec, one = self.spec, {(0,) * len(self.vars): self.spec._rone}
+        out = _square_multiply(lambda a, b: _mul_raw(spec, a, b), one,
+                               self._terms, e)
         return MultiPoly._from_raw(self.spec, self.vars, out)
 
     def __eq__(self, other) -> bool:
@@ -365,7 +350,6 @@ class MultiPoly:
                 cache.append(_mul_raw(spec, cache[-1], repl_terms[vi]))
             return cache[e]
 
-        radd, rmul, rzero = spec._radd, spec._rmul, spec._rzero
         acc: dict = {}
         for mono, c in self._terms.items():
             prod = None
@@ -376,10 +360,7 @@ class MultiPoly:
             if prod is None:
                 prod = unit
             for m, v in prod.items():
-                cv = rmul(c, v)
-                prev = acc.get(m)
-                acc[m] = cv if prev is None else radd(prev, cv)
-        acc = {m: v for m, v in acc.items() if v != rzero}
+                _accumulate(spec, acc, m, spec._rmul(c, v))
         return MultiPoly._from_raw(spec, target, acc)
 
     def with_vars(self, vars) -> MultiPoly:
@@ -514,9 +495,9 @@ class _Parser:
         """Multiply one factor into the term: a coefficient into ``coeff``,
         a variable's exponent into ``exps``."""
         spec = self.spec
-        kind, text, pos = self.take()
+        kind, value, pos = self.take()
         if kind == "int":
-            raw = spec._coerce_raw(int(text))
+            raw = spec._coerce_raw(value)
         elif kind == "(":
             if spec.kind != EXTENSION:
                 raise CoefficientNotInRing(
@@ -524,18 +505,18 @@ class _Parser:
             raw = self.expr(True).get((0,) * len(self.vars), spec._rzero)
             self.take()  # the ")" that ended the inner expression
         elif kind == "name" and inner:
-            if text != spec.var_name:
-                raise UnknownVariable(
-                    f"{text!r} is not the extension variable {spec.var_name!r}")
+            if value != spec.var_name:
+                raise UnknownVariable(f"{value!r} is not the extension "
+                                      f"variable {spec.var_name!r}")
             raw = (0, 1)
         elif kind == "name":
-            if text not in self.vars:
-                if spec.kind == EXTENSION and text == spec.var_name:
+            if value not in self.vars:
+                if spec.kind == EXTENSION and value == spec.var_name:
                     raise UnknownVariable(
-                        f"extension variable {text!r} must appear inside "
+                        f"extension variable {value!r} must appear inside "
                         "parentheses")
-                raise UnknownVariable(f"{text!r} not among {self.vars}")
-            exps[self.vars.index(text)] += self.exponent()
+                raise UnknownVariable(f"{value!r} not among {self.vars}")
+            exps[self.vars.index(value)] += self.exponent()
             return coeff
         else:
             raise ParseError("expected a coefficient factor" if inner
@@ -561,31 +542,30 @@ class _Parser:
         if self.peek()[0] != "^":
             return 1
         self.take()
-        kind, text, pos = self.take()
+        kind, value, pos = self.take()
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
-        return int(text)
+        return value
 
 
 def _tokenize(text: str):
+    """(kind, value, position) triples; an "int" token's value is its int."""
     toks = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
+        elif m := _DIGITS.match(text, i):
+            try:
+                toks.append(("int", int(m.group()), i))
+            except ValueError:  # past the interpreter's text-to-int limit
+                raise ParseError(f"integer literal of {m.end() - i} digits "
+                                 "is too long", i) from None
+            i = m.end()
+        elif m := _IDENT.match(text, i):
+            toks.append(("name", m.group(), i))
+            i = m.end()
         elif ch in "+-*^()":
             toks.append((ch, ch, i))
             i += 1

@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotPrime, ParseError, SpecMismatch
-from .numtheory import is_prime
+from .errors import CoefficientTooLarge, ParseError, SpecMismatch
+from .numtheory import _require_prime
 
 INTEGERS = "int"
 PRIME_FIELD = "zp"
 EXTENSION = "zp_ext"
 
-_RING_TEXT = re.compile(r"^(int|zp:([0-9]+)(\[([A-Za-z_][A-Za-z0-9_]*)\])?)$")
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# The one rule for variable names, in ring specs and polynomials alike.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_RING_TEXT = re.compile(rf"int|zp:([0-9]+)(\[({_IDENT.pattern})\])?")
 
 
 def _ext_trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -55,35 +56,29 @@ class RingSpec:
         else:
             if p is None:
                 raise ValueError("a prime modulus is required")
-            if not is_prime(p):
-                raise NotPrime(f"modulus {p} is not prime")
+            _require_prime(p)
             if kind == PRIME_FIELD and var_name is not None:
                 raise ValueError("prime field takes no variable name")
             if kind == EXTENSION:
-                if var_name is None or not _IDENT.match(var_name):
+                if var_name is None or not _IDENT.fullmatch(var_name):
                     raise ValueError("extension needs an identifier variable name")
         self.kind = kind
         self.p = p
         self.var_name = var_name
 
+        self._rzero, self._rone = ((), (1,)) if kind == EXTENSION else (0, 1)
         if kind == INTEGERS:
             self._radd = lambda a, b: a + b
             self._rmul = lambda a, b: a * b
             self._rneg = lambda a: -a
-            self._rzero = 0
-            self._rone = 1
         elif kind == PRIME_FIELD:
             self._radd = lambda a, b, p=p: (a + b) % p
             self._rmul = lambda a, b, p=p: a * b % p
             self._rneg = lambda a, p=p: -a % p
-            self._rzero = 0
-            self._rone = 1
         else:
             self._radd = lambda a, b, p=p: _ext_add(a, b, p)
             self._rmul = lambda a, b, p=p: _ext_mul(a, b, p)
             self._rneg = lambda a, p=p: tuple((-c) % p for c in a)
-            self._rzero = ()
-            self._rone = (1,)
 
     # -- identity ---------------------------------------------------------
 
@@ -102,14 +97,14 @@ class RingSpec:
     @classmethod
     def parse(cls, text: str) -> RingSpec:
         """Parse ``int``, ``zp:<p>``, or ``zp:<p>[<var>]``."""
-        m = _RING_TEXT.match(text.strip())
+        m = _RING_TEXT.fullmatch(text.strip())
         if not m:
             raise ParseError(f"bad ring spec {text!r}")
-        if m.group(1) == "int":
+        if m.group(0) == "int":
             return cls.integers()
-        p = int(m.group(2))
-        if m.group(4) is not None:
-            return cls.extension(p, m.group(4))
+        p = int(m.group(1))
+        if m.group(3) is not None:
+            return cls.extension(p, m.group(3))
         return cls.prime_field(p)
 
     def __str__(self) -> str:
@@ -174,23 +169,17 @@ class RingSpec:
     def _rpow(self, a, e: int):
         if e < 0:
             raise ValueError("negative exponent")
-        if self.kind == INTEGERS:
-            return a**e
-        if self.kind == PRIME_FIELD:
-            return pow(a, e, self.p)
-        out = self._rone
-        base = a
-        while e:
-            if e & 1:
-                out = self._rmul(out, base)
-            base = self._rmul(base, base)
-            e >>= 1
-        return out
+        return _square_multiply(self._rmul, self._rone, a, e)
 
     def _literal(self, raw) -> str:
         """Canonical literal text of a raw value, without outer parentheses."""
         if self.kind != EXTENSION:
-            return str(raw)
+            try:
+                return str(raw)
+            except ValueError:  # past the interpreter's int-to-text limit
+                raise CoefficientTooLarge(
+                    f"a coefficient of {raw.bit_length()} bits has too many "
+                    "decimal digits to print") from None
         if not raw:
             return "0"
         parts = []
@@ -203,6 +192,18 @@ class RingSpec:
                 v = self.var_name if i == 1 else f"{self.var_name}^{i}"
                 parts.append(v if c == 1 else f"{c}*{v}")
         return "+".join(parts)
+
+
+def _square_multiply(mul, one, base, e: int):
+    """base^e by repeated squaring, for an associative mul with unit one."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
 
 
 def _ext_add(a, b, p):
@@ -260,11 +261,7 @@ class RingElement:
                            self.spec._radd(self.value, self.spec._rneg(raw)))
 
     def __rsub__(self, other):
-        raw = self._raw_of(other)
-        if raw is None:
-            return NotImplemented
-        return RingElement(self.spec,
-                           self.spec._radd(raw, self.spec._rneg(self.value)))
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         raw = self._raw_of(other)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,20 @@ def test_oversized_input_exits_2(capsys):
     assert run(["verify", "--ring", f"zp:{2**89 - 1}", "x"]) == 2
     assert run(["lucas", "10", "3", str(2**89 - 1)]) == 2
     capsys.readouterr()
+
+
+def test_unbounded_defect_exits_2(capsys):
+    start = time.perf_counter()
+    assert run(["verify", "--ring", "int", "x^100000 + y"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "ring operations" in capsys.readouterr().err
+
+
+def test_coefficient_too_large_to_print_exits_2(capsys):
+    # fifteen factors, each within the coefficient power bound
+    text = "*".join(["2^1024"] * 15) + "*x"
+    assert run(["verify", "--ring", "int", text]) == 2
+    assert "too many decimal digits to print" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

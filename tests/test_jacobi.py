@@ -6,6 +6,7 @@ definitions, on random polynomials over every ring kind.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -16,16 +17,19 @@ from jacobipoly import (
     RingSpec,
     constant_satisfies,
     defect,
+    jacobi,
     satisfies,
     swap,
 )
-from jacobipoly.errors import WrongArity
+from jacobipoly.errors import BudgetExceeded, WrongArity
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
 F3 = RingSpec.prime_field(3)
 F5 = RingSpec.prime_field(5)
+F7 = RingSpec.prime_field(7)
 E3 = RingSpec.extension(3, "t")
+E5 = RingSpec.extension(5, "u")
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -54,12 +58,19 @@ def naive_defect(p, form):
     return P(x, P(y, z)) + P(P(x, z), y) - P(P(x, y), z)
 
 
+def random_inputs(rng, specs):
+    """40 random P per ring of degree <= 2 per variable, then 10 per ring of
+    degree <= 3."""
+    for max_deg, count in ((2, 40), (3, 10)):
+        for spec in specs:
+            for _ in range(count):
+                yield random_poly(spec, XY, rng, max_deg)
+
+
 def test_defect_matches_naive_expansion(rng):
-    for spec in (Z, F2, F3, F5, E3):
-        for _ in range(40):
-            p = random_poly(spec, XY, rng)
-            for form in EquationForm:
-                assert defect(p, form) == naive_defect(p, form), (spec, p, form)
+    for p in random_inputs(rng, (Z, F2, F3, F5, E3, F7, E5)):
+        for form in EquationForm:
+            assert defect(p, form) == naive_defect(p, form), (p.spec, p, form)
 
 
 def test_defect_frozen_examples():
@@ -137,25 +148,19 @@ def test_swap():
 def test_swap_carries_j2_to_j1(rng):
     # defect identity: the J2 defect of P is the J1 defect of swap(P) with
     # y and z exchanged
-    for spec in (Z, F3):
-        yv = MultiPoly.variable(spec, XYZ, "y")
-        zv = MultiPoly.variable(spec, XYZ, "z")
-        for _ in range(40):
-            p = random_poly(spec, XY, rng)
-            d2 = defect(p, EquationForm.J2)
-            d1 = defect(swap(p), EquationForm.J1)
-            assert d2 == d1.substitute({"y": zv, "z": yv})
+    for p in random_inputs(rng, (Z, F3, F7, E5)):
+        yv, zv = _vars3(p.spec)[1:]
+        d2 = defect(p, EquationForm.J2)
+        d1 = defect(swap(p), EquationForm.J1)
+        assert d2 == d1.substitute({"y": zv, "z": yv})
 
 
 def test_swap_carries_j6_to_j5(rng):
-    for spec in (Z, F3):
-        xv = MultiPoly.variable(spec, XYZ, "x")
-        zv = MultiPoly.variable(spec, XYZ, "z")
-        for _ in range(40):
-            p = random_poly(spec, XY, rng)
-            d6 = defect(p, EquationForm.J6)
-            d5 = defect(swap(p), EquationForm.J5)
-            assert d6 == d5.substitute({"x": zv, "z": xv})
+    for p in random_inputs(rng, (Z, F3, F7, E5)):
+        xv, _, zv = _vars3(p.spec)
+        d6 = defect(p, EquationForm.J6)
+        d5 = defect(swap(p), EquationForm.J5)
+        assert d6 == d5.substitute({"x": zv, "z": xv})
 
 
 def test_j5_diagonal_collapses(rng):
@@ -168,6 +173,22 @@ def test_j5_diagonal_collapses(rng):
             diag = defect(p, EquationForm.J5).substitute({"y": xv})
             pxx = p.substitute({"x": xv, "y": xv})
             assert diag == p.substitute({"x": pxx, "y": zv})
+
+
+def test_defect_work_is_bounded():
+    # the powers of x^a + y have a + 1 terms at most, so it is accepted
+    # while 2a(a + 1) stays within the limit, whatever its degree box
+    a = 1
+    while 2 * (a + 1) * (a + 2) <= jacobi._MAX_DEFECT_WORK:
+        a += 1
+    p = MultiPoly(Z, XY, {(a, 0): 1, (0, 1): 1})
+    assert defect(p, EquationForm.J1).deg() == a * a
+    for p in (MultiPoly(Z, XY, {(a + 1, 0): 1, (0, 1): 1}),
+              MultiPoly(Z, XY, {(100000, 0): 1, (0, 1): 1})):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            defect(p, EquationForm.J1)
+        assert time.perf_counter() - start < 1
 
 
 def test_wrong_arity():

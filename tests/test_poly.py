@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import random_element, random_poly
-from jacobipoly import Monomial, MultiPoly, RingSpec
+from jacobipoly import Monomial, MultiPoly, RingSpec, errors
 from jacobipoly.errors import (
     CoefficientNotInRing,
     ParseError,
@@ -120,6 +120,16 @@ def test_coefficient_powers_are_bounded():
         MultiPoly.parse(f"((1+t)^{e})^2", E3)
 
 
+def test_integers_past_the_text_limit_raise_named_errors():
+    # the interpreter converts ints of at most a few thousand decimal
+    # digits to and from text
+    with pytest.raises(ParseError) as info:
+        MultiPoly.parse("1" * 5000 + "*x", Z)
+    assert info.value.position == 0
+    with pytest.raises(errors.CoefficientTooLarge):
+        str(MultiPoly(Z, XY, {(1, 0): 10**5000}))
+
+
 def test_parse_unknown_variables():
     with pytest.raises(UnknownVariable):
         MultiPoly.parse("x + q", Z)
@@ -174,6 +184,10 @@ def test_constructor_validation():
         MultiPoly(Z, XY, {(-1, 0): 1})
     with pytest.raises(SpecMismatch):
         MultiPoly(Z, XY, {(1, 0): F3.element(1)})
+    with pytest.raises(VarListMismatch):
+        MultiPoly(Z, ("x y", "z"), {})  # parse(str(p)) could not read it
+    with pytest.raises(VarListMismatch):
+        MultiPoly(Z, ("a^2",), {})
 
 
 def test_zero_coefficients_are_dropped():
