@@ -16,7 +16,7 @@ overlap (A = 0 with C = B) is reported as the affine family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 from .errors import (
     AlgebraError,
@@ -32,9 +32,10 @@ from .rings import RingElement, RingSpec
 _ABCD_MONOMIALS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
-class _Family:
-    """Each family names its parameters as dataclass fields and maps them
-    to the coefficients (A, B, C, D) of A*x*y + B*x + C*y + D in `image`."""
+class FamilyParams:
+    """The parameters of one family member.  Each family names them as
+    dataclass fields and maps them to the coefficients (A, B, C, D) of
+    A*x*y + B*x + C*y + D in `image`."""
 
     def coefficients(self):
         # a dataclass's __match_args__ names its fields in order
@@ -42,7 +43,7 @@ class _Family:
 
 
 @dataclass(frozen=True)
-class LinearBC(_Family):
+class LinearBC(FamilyParams):
     """P = B*x + C*y with B^2 + B*C + C = 0 (any characteristic)."""
 
     B: RingElement
@@ -55,7 +56,7 @@ class LinearBC(_Family):
 
 
 @dataclass(frozen=True)
-class Char3Product(_Family):
+class Char3Product(FamilyParams):
     """P = A*x*y + B*(x+y) + D with A*D = B^2 - B, characteristic 3 only."""
 
     A: RingElement
@@ -69,7 +70,7 @@ class Char3Product(_Family):
 
 
 @dataclass(frozen=True)
-class Char3Affine(_Family):
+class Char3Affine(FamilyParams):
     """P = B*x + C*y + D with B^2 + B*C + C = 0, characteristic 3 only."""
 
     B: RingElement
@@ -80,9 +81,6 @@ class Char3Affine(_Family):
     shape: ClassVar[str] = "B*x + C*y + D"
     condition: ClassVar[str] = "B^2 + B*C + C = 0"
     image = staticmethod(lambda B, C, D, zero: (zero, B, C, D))
-
-
-FamilyParams = Union[LinearBC, Char3Product, Char3Affine]
 
 
 # The solution families of each characteristic, in the order `families`
@@ -97,6 +95,12 @@ FAMILY_TABLE = {
 }
 
 
+def _families(characteristic) -> tuple:
+    """The FAMILY_TABLE row of a characteristic; the `None` row's members
+    solve J1 in every characteristic."""
+    return FAMILY_TABLE.get(characteristic, FAMILY_TABLE[None])
+
+
 def _member(spec: RingSpec, abcd) -> MultiPoly:
     """A*x*y + B*x + C*y + D from ring elements or raw values (A, B, C, D)."""
     return MultiPoly(spec, ("x", "y"), dict(zip(_ABCD_MONOMIALS, abcd)))
@@ -106,7 +110,7 @@ def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
     """Build the family member over (x, y), validating characteristic and
     the defining coefficient condition."""
     values = [spec.element(v) for v in params.coefficients().values()]
-    valid = FAMILY_TABLE.get(spec.characteristic, ()) + FAMILY_TABLE[None]
+    valid = _families(spec.characteristic) + _families(None)
     if type(params) not in valid:
         raise CharMismatch(f"{params.name} is not a family over {spec}")
     abcd = params.image(*values, spec.zero())
@@ -155,7 +159,7 @@ def system_check(A, B, C, D, spec: RingSpec | None = None) -> SystemResiduals:
                 break
         else:
             raise TypeError("pass a spec or at least one ring element")
-    raw = (spec.element(v).value for v in (A, B, C, D))
+    raw = (spec._coerce_raw(v) for v in (A, B, C, D))
     return SystemResiduals(tuple(RingElement(spec, r)
                                  for r in _residuals(spec, *raw)))
 
@@ -188,8 +192,7 @@ def classify(p: MultiPoly, spec: RingSpec | None = None) -> ClassificationResult
         # P solves J1 exactly when it is the image of a listed family's
         # parameters and make_family accepts them; walking the row backwards
         # names a member that two families share after the later one.
-        row = FAMILY_TABLE.get(spec.characteristic, FAMILY_TABLE[None])
-        for listed in reversed(row):
+        for listed in reversed(_families(spec.characteristic)):
             params = [named[name] for name in listed.__match_args__]
             if listed.image(*params, spec.zero()) != abcd:
                 continue

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
-from .classify import FAMILY_TABLE, classify, constant_solutions
+from .classify import _families, classify, constant_solutions
 from .errors import AlgebraError
 from .jacobi import EquationForm, defect
-from .numtheory import binom_mod_p, lucas_factors
+from .numtheory import lucas_factors
 from .oracle import EnumSpace, enumerate_solutions
 from .poly import MultiPoly
 from .rings import RingSpec
@@ -106,8 +107,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_lucas(args) -> int:
-    residue = binom_mod_p(args.n, args.m, args.p)
     factors = lucas_factors(args.n, args.m, args.p)
+    residue = math.prod(f for _, _, f in factors) % args.p
     payload = {
         "n": args.n,
         "m": args.m,
@@ -128,7 +129,7 @@ def _cmd_lucas(args) -> int:
 def _cmd_families(args) -> int:
     spec = RingSpec.parse(args.ring)
     char = spec.characteristic
-    fams = FAMILY_TABLE.get(char, FAMILY_TABLE[None])
+    fams = _families(char)
     rule = constant_solutions(spec)
     payload = {
         "ring": str(spec),

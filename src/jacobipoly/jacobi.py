@@ -50,11 +50,13 @@ _COMPOSITIONS = {
 
 _XYZ = ("x", "y", "z")
 
-# Largest |P| * dmax * N, with N a bound on the terms of P^dmax, that
-# `defect` accepts: it bounds the ring operations that computing the powers
-# of P takes, without the size of coefficients, before any is computed.  At
-# the limit, (1+t+2*t^2)*x^273 + (2+t)*y over zp:3[t] takes about 1 s on a
-# 2.1 GHz Xeon; a dense P of degree 5 per variable over it is at 121 680.
+# Largest |P| * dmax * N * f, with N a bound on the terms of P^dmax and f
+# the coefficient-size factor below, that `defect` accepts: it bounds the
+# work of computing the powers of P, in ring operations on coefficients of
+# size 0, before any is computed.  A dense P of degree 5 per variable with
+# constant coefficients is at 121 680.  With coefficients of degree at most
+# 4, the slowest accepted shapes measured take about 0.35 s on a 2.1 GHz
+# Xeon.
 _MAX_DEFECT_WORK = 150_000
 
 
@@ -77,10 +79,16 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
     terms = p._terms
     dx, dy = map(max, zip((0, 0), *terms))
     dmax, n = max(dx, dy), len(terms)
+    # P^k has coefficients of size up to k*s, so one of its ring operations
+    # counts as 1 + dmax*s*(s + 512)/2048 operations of size 0.  Products of
+    # long F_p[t] coefficients cost more than this, about dmax*s*s/64, but a
+    # 15 000-bit int, whose products are fast, must still pass.
+    s = spec._size(*terms.values())
+    work = n * dmax * (1 + dmax * s * (s + 512) // 2048)
     # P^dmax has at most (dmax*dx+1)(dmax*dy+1) terms by degree, and at most
     # C(dmax+n-1, dmax) as a product of dmax of the n terms of P
-    if (n * dmax * (dmax * dx + 1) * (dmax * dy + 1) > _MAX_DEFECT_WORK
-            and n * dmax * math.comb(dmax + n - 1, dmax) > _MAX_DEFECT_WORK):
+    if (work * (dmax * dx + 1) * (dmax * dy + 1) > _MAX_DEFECT_WORK
+            and work * math.comb(dmax + n - 1, dmax) > _MAX_DEFECT_WORK):
         raise BudgetExceeded(f"the powers of this {n}-term polynomial take "
                              f"more than {_MAX_DEFECT_WORK} ring operations")
     pows = [{(0, 0): spec._rone}]

@@ -67,15 +67,8 @@ class BasePDigits:
 
 def base_p_digits(n: int, p: int) -> BasePDigits:
     """Expand n >= 0 in base p.  Zero expands to the empty digit vector."""
-    _require_prime(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    orig = n
-    digits = []
-    while n:
-        n, r = divmod(n, p)
-        digits.append(r)
-    return BasePDigits(n=orig, p=p, digits=tuple(digits))
+    digits = tuple(ni for ni, _, _ in lucas_factors(n, 0, p))
+    return BasePDigits(n=n, p=p, digits=digits)
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -135,21 +128,15 @@ def is_s1_by_divisibility(n: int, p: int) -> bool:
 def s2_parts(n: int, p: int) -> tuple[int, int]:
     """Split n in s_2(p) as n = n1 + n2 with n1 >= n2 powers of p.
 
-    The split is read off the digit vector: one digit equal to 2 gives
-    n1 = n2 = p^i, two digits equal to 1 give distinct powers.  Raises
-    NotInS2 when the digits do not sum to 2, and also for the repeated
-    part over p = 2 (the digit 2 is not a base-2 digit, so that shape
-    cannot arise there).
+    The split is read off the digit vector: its two positions, counted
+    with multiplicity, are the exponents (one digit 2 gives n1 = n2).
+    Raises NotInS2 when the digits do not sum to 2.
     """
     exp = base_p_digits(n, p)
     if exp.digit_sum != 2:
         raise NotInS2(f"{n} has base-{p} digit sum {exp.digit_sum}, not 2")
-    ones = [i for i, d in enumerate(exp.digits) if d == 1]
-    if len(ones) == 2:
-        return p ** ones[1], p ** ones[0]
-    # remaining shape: a single digit 2, impossible in base 2
-    i = exp.digits.index(2)
-    return p**i, p**i
+    low, high = (i for i, d in enumerate(exp.digits) for _ in range(d))
+    return p**high, p**low
 
 
 def cor2a_check(n: int, p: int) -> "Cor2aReport":

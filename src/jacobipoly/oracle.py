@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import FAMILY_TABLE, _member, _residuals, classify
+from .classify import _families, _member, _residuals, classify
 from .errors import BudgetExceeded, UnsupportedSpec
 from .jacobi import EquationForm, defect, swap
 from .poly import MultiPoly, _grade
@@ -106,7 +106,7 @@ def family_members(space: EnumSpace) -> frozenset[MultiPoly]:
     """Every family member whose coefficients lie in the space."""
     spec = space.spec
     out = set()
-    for family in FAMILY_TABLE.get(spec.characteristic, FAMILY_TABLE[None]):
+    for family in _families(spec.characteristic):
         for params in itertools.product(space.coefficient_values,
                                         repeat=len(family.__match_args__)):
             abcd = family.image(*params, spec._rzero)

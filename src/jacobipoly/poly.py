@@ -45,9 +45,10 @@ from .rings import (_IDENT, EXTENSION, INTEGERS, RingElement, RingSpec,
 
 
 # Largest floor(log2 |a|) * e over int, or degree of a^e over F_p[t], that a
-# coefficient power a^e in polynomial text may reach.  Larger powers are
-# refused before they are computed, so a short text cannot demand unbounded
-# work.  F_p needs no bound: a^e mod p takes about 2*log2(e) steps.
+# coefficient power a^e in polynomial text may reach, and largest degree of
+# a term's coefficient over F_p[t].  Larger ones are refused before they are
+# computed, so a short text cannot demand unbounded work.  F_p needs no
+# bound: a^e mod p takes about 2*log2(e) steps.
 _MAX_POWER_SIZE = 1024
 
 _DIGITS = re.compile(r"[0-9]+")
@@ -155,7 +156,7 @@ class MultiPoly:
                     f"exponent tuple {key} has arity {len(key)}, expected {n}")
             if any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"bad exponents {key}")
-            _accumulate(spec, clean, key, spec.element(value).value)
+            _accumulate(spec, clean, key, spec._coerce_raw(value))
         self._terms = clean
 
     @classmethod
@@ -244,7 +245,7 @@ class MultiPoly:
                     f"variable lists differ: {self.vars} vs {other.vars}")
             return other._terms
         if isinstance(other, (int, RingElement)) and not isinstance(other, bool):
-            raw = self.spec.element(other).value
+            raw = self.spec._coerce_raw(other)
             if raw == self.spec._rzero:
                 return {}
             return {(0,) * len(self.vars): raw}
@@ -390,7 +391,7 @@ class MultiPoly:
         for v in self.vars:
             if v not in values:
                 raise UnknownVariable(f"no value for {v!r}")
-            point.append(self.spec.element(values[v]).value)
+            point.append(self.spec._coerce_raw(values[v]))
         spec = self.spec
         radd, rmul = spec._radd, spec._rmul
         acc = spec._rzero
@@ -524,17 +525,18 @@ class _Parser:
         caret = self.peek()[2]
         e = self.exponent()
         if e != 1:
-            if spec.kind == INTEGERS:
-                size = abs(raw).bit_length() - 1
-            elif spec.kind == EXTENSION:
-                size = len(raw) - 1
-            else:
-                size = 0
+            size = spec._size(raw)
             if size * e > _MAX_POWER_SIZE:
                 raise ParseError(
                     f"coefficient power too large: size {size} times "
                     f"exponent {e} exceeds {_MAX_POWER_SIZE}", caret)
             raw = spec._rpow(raw, e)
+        # degrees add up in a product; int products stay unbounded, since
+        # their multiplication is fast and their printing is checked
+        size = spec._size(coeff) + spec._size(raw)
+        if spec.kind == EXTENSION and size > _MAX_POWER_SIZE:
+            raise ParseError(f"coefficient product too large: degree {size} "
+                             f"exceeds {_MAX_POWER_SIZE}", pos)
         return spec._rmul(coeff, raw)
 
     def exponent(self) -> int:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 
-from .errors import CoefficientTooLarge, ParseError, SpecMismatch
-from .numtheory import _require_prime
+from .errors import (CoefficientTooLarge, ModulusTooLarge, ParseError,
+                     SpecMismatch)
+from .numtheory import _MR_LIMIT, _require_prime
 
 INTEGERS = "int"
 PRIME_FIELD = "zp"
@@ -102,7 +103,14 @@ class RingSpec:
             raise ParseError(f"bad ring spec {text!r}")
         if m.group(0) == "int":
             return cls.integers()
-        p = int(m.group(1))
+        digits = m.group(1).lstrip("0")
+        # more digits than the primality limit has means at least the limit,
+        # and int() refuses texts past the interpreter's conversion limit
+        if len(digits) > len(str(_MR_LIMIT)):
+            raise ModulusTooLarge(
+                f"a modulus of {len(digits)} digits is too large to decide "
+                f"primality (limit {_MR_LIMIT})")
+        p = int(digits or "0")
         if m.group(3) is not None:
             return cls.extension(p, m.group(3))
         return cls.prime_field(p)
@@ -133,25 +141,27 @@ class RingSpec:
     # -- elements ---------------------------------------------------------
 
     def _coerce_raw(self, value):
-        if isinstance(value, bool):
-            raise TypeError("bool is not a ring value")
-        if isinstance(value, int):
-            if self.kind == INTEGERS:
-                return value
-            if self.kind == PRIME_FIELD:
-                return value % self.p
-            return _ext_trim([value % self.p])
-        if self.kind == EXTENSION and isinstance(value, (list, tuple)):
-            return _ext_trim([int(c) % self.p for c in value])
-        raise TypeError(f"cannot interpret {value!r} in {self}")
-
-    def element(self, value) -> RingElement:
-        """Coerce an int (or, for extensions, a little-endian coefficient
-        sequence) into this ring."""
+        """The raw value of an element of this ring, of an int, or (for
+        extensions) of a little-endian sequence of ints: the one path by
+        which outside values enter the ring."""
         if isinstance(value, RingElement):
             if value.spec is not self and value.spec != self:
                 raise SpecMismatch(f"element of {value.spec} used in {self}")
+            return value.value
+        coeffs = (value if self.kind == EXTENSION
+                  and isinstance(value, (list, tuple)) else (value,))
+        for c in coeffs:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise TypeError(f"cannot interpret {c!r} in {self}")
+        if self.kind == INTEGERS:
             return value
+        if self.kind == PRIME_FIELD:
+            return value % self.p
+        return _ext_trim([c % self.p for c in coeffs])
+
+    def element(self, value) -> RingElement:
+        """Coerce a ring element, an int, or (for extensions) a
+        little-endian coefficient sequence into this ring."""
         return RingElement(self, self._coerce_raw(value))
 
     def zero(self) -> RingElement:
@@ -165,6 +175,16 @@ class RingSpec:
         if self.kind != EXTENSION:
             raise ValueError(f"{self} has no generator")
         return RingElement(self, (0, 1))
+
+    def _size(self, *raws) -> int:
+        """The largest size of the raw values: floor(log2 |a|) over int and
+        the degree of a over F_p[t] (-1 for zero in both), 0 over F_p.  The
+        work bounds of the parser and of `defect` count this size."""
+        if self.kind == INTEGERS:
+            return max(map(abs, raws), default=0).bit_length() - 1
+        if self.kind == EXTENSION:
+            return max(map(len, raws), default=0) - 1
+        return 0
 
     def _rpow(self, a, e: int):
         if e < 0:
@@ -236,12 +256,7 @@ class RingElement:
         self.value = value
 
     def _raw_of(self, other):
-        if isinstance(other, RingElement):
-            if other.spec is self.spec or other.spec == self.spec:
-                return other.value
-            raise SpecMismatch(
-                f"cannot combine {self.spec} with {other.spec}")
-        if isinstance(other, int) and not isinstance(other, bool):
+        if isinstance(other, (int, RingElement)) and not isinstance(other, bool):
             return self.spec._coerce_raw(other)
         return None
 

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from conftest import random_poly
+from conftest import random_element, random_poly
 from jacobipoly import (
     Char3Affine,
     Char3Product,
@@ -34,7 +34,9 @@ Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
 F3 = RingSpec.prime_field(3)
 F5 = RingSpec.prime_field(5)
+F7 = RingSpec.prime_field(7)
 E3 = RingSpec.extension(3, "t")
+E5 = RingSpec.extension(5, "u")
 
 XY = ("x", "y")
 
@@ -216,13 +218,33 @@ def test_family_members_satisfy_j1_random(rng):
 
 
 def test_classify_round_trips_through_make_family(rng):
-    for spec in (F2, F3, F5):
-        values = range(spec.p)
-        for a, b, c, d in itertools.product(values, repeat=4):
-            p = MultiPoly(spec, XY, {(1, 1): a, (1, 0): b, (0, 1): c, (0, 0): d})
-            res = classify(p)
-            if res.is_solution:
-                assert make_family(res.family, spec) == p
+    def check(spec, abcd):
+        p = MultiPoly(spec, XY, dict(zip(((1, 1), (1, 0), (0, 1), (0, 0)),
+                                         abcd)))
+        res = classify(p)
+        assert res.is_solution == satisfies(p, EquationForm.J1) \
+            == system_check(*abcd, spec=spec).all_zero
+        if res.is_solution:
+            assert make_family(res.family, spec) == p
+        return res.is_solution
+
+    for spec in (F2, F3, F5, F7):
+        for abcd in itertools.product(range(spec.p), repeat=4):
+            check(spec, abcd)
+    # seeded random shapes over F_p[t], nearly all of them non-solutions,
+    # and members built from valid family parameters
+    for spec in (E3, E5):
+        for _ in range(150):
+            check(spec, [random_element(spec, rng) for _ in range(4)])
+    for _ in range(40):
+        B = random_element(E3, rng)
+        D = random_element(E3, rng)
+        assert check(E3, (B, B, B, B - 1))  # A*D = B^2 - B
+        assert check(E3, (B - 1, B, B, B))
+        assert check(E3, (0, 1, 1, D))  # B^2 + B*C + C = 0
+        assert check(E3, (0, 0, 0, D))
+    for b, c in ((0, 0), (1, 2), (2, 2), (3, 4)):
+        assert check(E5, (0, b, c, 0))
 
 
 def test_classify_rejects_wrong_shape():

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -271,3 +274,40 @@ def test_classify_exact_output(capsys, ring, poly, human, family, params):
     payload = {"family": family, "params": params, "verdict": "solution"}
     assert capsys.readouterr().out == \
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _readme_examples():
+    """(command, expected output) for every ``$ jacobipoly ...`` example in
+    README.md: the command with its continuation lines, and the lines after
+    it up to a blank line or the end of the code block."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text() \
+        .splitlines()
+    examples = []
+    i = 0
+    while i < len(lines):
+        if not lines[i].startswith("$ jacobipoly "):
+            i += 1
+            continue
+        command = lines[i][2:]
+        while command.endswith("\\"):
+            i += 1
+            command = command[:-1] + lines[i]
+        i += 1
+        out = []
+        while lines[i] and lines[i] != "```":
+            out.append(lines[i])
+            i += 1
+        examples.append((command, "".join(line + "\n" for line in out)))
+    return examples
+
+
+# the elapsed time that `enumerate` prints differs from run to run
+_ELAPSED = re.compile(r"[0-9]+\.[0-9]+s$", re.M)
+
+
+@pytest.mark.parametrize("command, expected", _readme_examples())
+def test_readme_examples(capsys, command, expected):
+    run(shlex.split(command)[1:])
+    out = capsys.readouterr().out
+    assert _ELAPSED.sub("<elapsed>", out) == \
+        _ELAPSED.sub("<elapsed>", expected)

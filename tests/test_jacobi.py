@@ -191,6 +191,24 @@ def test_defect_work_is_bounded():
         assert time.perf_counter() - start < 1
 
 
+def test_defect_work_counts_coefficient_size():
+    # long coefficients make every ring operation on the powers of P dearer
+    def ones(d):
+        return "(1" + "".join(f"+t^{i}" for i in range(1, d + 1)) + ")"
+
+    for text, spec in (("2^1024*x^273 + y", Z),
+                       (ones(20) + "*x^100 + y", E3),
+                       (ones(50) + "*x^100 + y", E3)):
+        p = MultiPoly.parse(text, spec)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            defect(p, EquationForm.J1)
+        assert time.perf_counter() - start < 1
+    # a dense P of degree 4 with coefficients of degree 2 is accepted
+    dense = {(i, j): [1, 2, 1] for i in range(5) for j in range(5)}
+    assert defect(MultiPoly(E3, XY, dense), EquationForm.J5)
+
+
 def test_wrong_arity():
     with pytest.raises(WrongArity):
         defect(MultiPoly.parse("x", Z, XYZ), EquationForm.J1)

@@ -120,6 +120,23 @@ def test_coefficient_powers_are_bounded():
         MultiPoly.parse(f"((1+t)^{e})^2", E3)
 
 
+def test_coefficient_products_are_bounded():
+    # each factor is within the power bound, but F_p[t] degrees add up in
+    # a product; the second factor takes the coefficient past the bound
+    text = "*".join(["(1+t)^1024"] * 60) + "*x"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        MultiPoly.parse(text, E3)
+    assert time.perf_counter() - start < 1
+    assert info.value.position == len("(1+t)^1024*")
+    e = _MAX_POWER_SIZE
+    assert MultiPoly.parse(f"(t)^{e - 24}*(1+t)^24*x", E3) == \
+        MultiPoly.parse(f"(t^{e - 24}*(1+t)^24)*x", E3)
+    for text in (f"(t)^{e - 24}*(1+t)^25*x", f"(t^{e}*t)*x"):
+        with pytest.raises(ParseError):
+            MultiPoly.parse(text, E3)
+
+
 def test_integers_past_the_text_limit_raise_named_errors():
     # the interpreter converts ints of at most a few thousand decimal
     # digits to and from text

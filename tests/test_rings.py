@@ -45,6 +45,13 @@ def test_large_modulus_is_decided_quickly():
     assert time.perf_counter() - start < 1
     with pytest.raises(ModulusTooLarge):
         RingSpec.parse(f"zp:{2**89 - 1}")
+    # refused by its length, before int() meets the interpreter's limit on
+    # converting text to int
+    start = time.perf_counter()
+    with pytest.raises(ModulusTooLarge):
+        RingSpec.parse("zp:" + "1" * 5000)
+    assert time.perf_counter() - start < 1
+    assert RingSpec.parse("zp:" + "0" * 5000 + "7") == RingSpec.prime_field(7)
 
 
 def test_spec_equality_and_hash():
@@ -174,6 +181,18 @@ def test_element_construction():
         Z.element("3")
     with pytest.raises(TypeError):
         F3.element(True)
+    # every entry of an F_p[t] sequence is an int, never a bool
+    for bad in ([2.7], ["3", 1], [True, 1], (1, None)):
+        with pytest.raises(TypeError):
+            E3.element(bad)
+    with pytest.raises(TypeError):
+        F3.element([1])
+    # an element enters its own ring as itself, and no other ring
+    assert E3.element(E3.element([1, 2])).value == (1, 2)
+    assert F3.element(F3.element(4)) == F3.element(1)
+    for spec, other in ((F3, F5), (E3, F3), (E3, E5), (Z, F2)):
+        with pytest.raises(SpecMismatch):
+            spec.element(other.one())
 
 
 def test_generator_only_for_extensions():
