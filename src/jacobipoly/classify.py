@@ -101,14 +101,9 @@ def _families(characteristic) -> tuple:
     return FAMILY_TABLE.get(characteristic, FAMILY_TABLE[None])
 
 
-def _member(spec: RingSpec, abcd) -> MultiPoly:
-    """A*x*y + B*x + C*y + D from ring elements or raw values (A, B, C, D)."""
-    return MultiPoly(spec, ("x", "y"), dict(zip(_ABCD_MONOMIALS, abcd)))
-
-
 def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
-    """Build the family member over (x, y), validating characteristic and
-    the defining coefficient condition."""
+    """Build the family member A*x*y + B*x + C*y + D over (x, y),
+    validating characteristic and the defining coefficient condition."""
     values = [spec.element(v) for v in params.coefficients().values()]
     valid = _families(spec.characteristic) + _families(None)
     if type(params) not in valid:
@@ -116,22 +111,10 @@ def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
     abcd = params.image(*values, spec.zero())
     if not system_check(*abcd, spec=spec).all_zero:
         raise ConditionViolated(f"{params.condition} fails for {params}")
-    return _member(spec, abcd)
+    return MultiPoly(spec, ("x", "y"), dict(zip(_ABCD_MONOMIALS, abcd)))
 
 
 _RESIDUAL_NAMES = ("3*A^2", "3*D*(B+1)", "A*(2*B+C)", "B^2+B*C+C+A*D")
-
-
-def _residuals(spec: RingSpec, a, b, c, d) -> tuple:
-    """The residuals on raw values, cheap enough for `family_members`."""
-    add, mul = spec._radd, spec._rmul
-    three = spec._coerce_raw(3)
-    return (
-        mul(mul(three, a), a),
-        mul(mul(three, d), add(b, spec._rone)),
-        mul(a, add(add(b, b), c)),
-        add(add(mul(b, b), mul(b, c)), add(c, mul(a, d))),
-    )
 
 
 @dataclass(frozen=True)
@@ -159,9 +142,8 @@ def system_check(A, B, C, D, spec: RingSpec | None = None) -> SystemResiduals:
                 break
         else:
             raise TypeError("pass a spec or at least one ring element")
-    raw = (spec._coerce_raw(v) for v in (A, B, C, D))
-    return SystemResiduals(tuple(RingElement(spec, r)
-                                 for r in _residuals(spec, *raw)))
+    A, B, C, D = (spec.element(v) for v in (A, B, C, D))
+    return SystemResiduals((3*A*A, 3*D*(B+1), A*(2*B+C), B*B+B*C+C+A*D))
 
 
 @dataclass(frozen=True)
@@ -188,22 +170,19 @@ def classify(p: MultiPoly, spec: RingSpec | None = None) -> ClassificationResult
     spec = p.spec
     if p.deg_in("x") <= 1 and p.deg_in("y") <= 1:
         abcd = tuple(p.coeff(m) for m in _ABCD_MONOMIALS)
-        named = dict(zip("ABCD", abcd))
-        # P solves J1 exactly when it is the image of a listed family's
-        # parameters and make_family accepts them; walking the row backwards
+        # P solves J1 exactly when the system holds, and then it is the
+        # image of a listed family's parameters; walking the row backwards
         # names a member that two families share after the later one.
-        for listed in reversed(_families(spec.characteristic)):
-            params = [named[name] for name in listed.__match_args__]
-            if listed.image(*params, spec.zero()) != abcd:
-                continue
-            family = listed(*params)
-            try:
-                member = make_family(family, spec)
-            except ConditionViolated:
-                continue
-            if member != p:
-                raise AlgebraError(f"internal: {family} does not rebuild {p}")
-            return ClassificationResult(family=family, witness=None)
+        if system_check(*abcd, spec=spec).all_zero:
+            named = dict(zip("ABCD", abcd))
+            for listed in reversed(_families(spec.characteristic)):
+                params = [named[name] for name in listed.__match_args__]
+                if listed.image(*params, spec.zero()) == abcd:
+                    family = listed(*params)
+                    if make_family(family, spec) != p:
+                        raise AlgebraError(
+                            f"internal: {family} does not rebuild {p}")
+                    return ClassificationResult(family=family, witness=None)
     lt = defect(p, EquationForm.J1).least_term()
     if lt is None:
         raise AlgebraError(

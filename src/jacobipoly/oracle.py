@@ -13,13 +13,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classify import _families, _member, _residuals, classify
-from .errors import BudgetExceeded, UnsupportedSpec
+from .classify import _families, classify, make_family
+from .errors import BudgetExceeded, ConditionViolated, UnsupportedSpec
 from .jacobi import EquationForm, defect, swap
 from .poly import MultiPoly, _grade
 from .rings import EXTENSION, INTEGERS, RingSpec
 
 _XY = ("x", "y")
+
+
+def _int_text(n) -> str:
+    """Decimal text of n, or its bit length past the interpreter's
+    int-to-text limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"({n.bit_length()}-bit number)"
 
 
 @dataclass(frozen=True)
@@ -44,10 +53,16 @@ class EnumSpace:
                     "a positive coeff_bound is required over the integers")
         elif self.coeff_bound is not None:
             raise ValueError("coeff_bound only applies to the integers")
-        if self.candidate_count > self.budget:
-            raise BudgetExceeded(
-                f"{self.candidate_count} candidates exceed the budget of "
-                f"{self.budget}")
+        n, positions = self._value_count(), (self.max_deg_per_var + 1) ** 2
+        # every space has n >= 2 values, so the count passes any budget
+        # within log2(budget) + 1 factors; the full power is never formed
+        count = 1
+        for _ in range(positions):
+            count *= n
+            if count > self.budget:
+                raise BudgetExceeded(
+                    f"{_int_text(n)}^{_int_text(positions)} candidates "
+                    f"exceed the budget of {_int_text(self.budget)}")
 
     @property
     def monomials(self) -> tuple[tuple[int, int], ...]:
@@ -65,9 +80,15 @@ class EnumSpace:
             return tuple(range(-b, b + 1))
         return tuple(range(self.spec.p))
 
+    def _value_count(self) -> int:
+        """len(coefficient_values), without building them."""
+        if self.spec.kind == INTEGERS:
+            return 2 * self.coeff_bound + 1
+        return self.spec.p
+
     @property
     def candidate_count(self) -> int:
-        return len(self.coefficient_values) ** (self.max_deg_per_var + 1) ** 2
+        return self._value_count() ** (self.max_deg_per_var + 1) ** 2
 
     def candidates(self):
         """Yield every polynomial of the space, in odometer order."""
@@ -109,10 +130,10 @@ def family_members(space: EnumSpace) -> frozenset[MultiPoly]:
     for family in _families(spec.characteristic):
         for params in itertools.product(space.coefficient_values,
                                         repeat=len(family.__match_args__)):
-            abcd = family.image(*params, spec._rzero)
-            # raw zero values (0 and ()) are the only falsy ones
-            if not any(_residuals(spec, *abcd)):
-                out.add(_member(spec, abcd))
+            try:
+                out.add(make_family(family(*params), spec))
+            except ConditionViolated:
+                pass
     k = space.max_deg_per_var
     return frozenset(p for p in out
                      if p.deg_in("x") <= k and p.deg_in("y") <= k)

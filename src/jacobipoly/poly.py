@@ -209,11 +209,6 @@ class MultiPoly:
         raw = self._terms.get(monomial)
         return self.spec.zero() if raw is None else RingElement(self.spec, raw)
 
-    def homogeneous_component(self, k: int) -> MultiPoly:
-        """Sum of the terms of total degree exactly k."""
-        picked = {m: v for m, v in self._terms.items() if sum(m) == k}
-        return MultiPoly._from_raw(self.spec, self.vars, picked)
-
     def terms(self):
         """Yield (Monomial, coefficient) pairs, graded-lex descending."""
         for m in sorted(self._terms, key=_grade, reverse=True):

@@ -107,6 +107,47 @@ def test_system_check_examples():
         system_check(0, 0, 0, 0)
 
 
+def test_coefficient_system_is_the_generic_j1_defect(rng):
+    # the J1 defect of the generic P = A*x*y + B*x + C*y + D, composed over
+    # Z[A, B, C, D] by the naive substitution oracle; as an identity over
+    # the integers it holds in every ring
+    names = ("x", "y", "z", "A", "B", "C", "D")
+    x, y, z, A, B, C, D = (MultiPoly.variable(Z, names, v) for v in names)
+    p = A*x*y + B*x + C*y + D
+
+    def P(u, v):
+        return p.substitute({"x": u, "y": v})
+
+    j1 = P(P(x, y), z) + P(P(y, z), x) + P(P(z, x), y)
+    grouped = {}
+    for mono, coeff in j1.terms():
+        grouped.setdefault(mono.exponents[:3], {})[mono.exponents[3:]] = coeff
+    abcd = ("A", "B", "C", "D")
+    system = {xyz: MultiPoly(Z, abcd, t) for xyz, t in grouped.items()}
+    square, const, mixed, single = (
+        MultiPoly.parse(text, Z, abcd)
+        for text in ("3*A^2", "3*B*D + 3*D", "2*A*B + A*C",
+                     "A*D + B^2 + B*C + C"))
+    assert system == {
+        (1, 1, 1): square,
+        (1, 1, 0): mixed, (1, 0, 1): mixed, (0, 1, 1): mixed,
+        (1, 0, 0): single, (0, 1, 0): single, (0, 0, 1): single,
+        (0, 0, 0): const,
+    }
+
+    # system_check's residuals are these coefficients, in its order
+    for spec in (Z, F2, F3, F5, F7, E3, E5):
+        residuals = [
+            MultiPoly(spec, abcd, {m.exponents: spec.element(c.value)
+                                   for m, c in q.terms()})
+            for q in (square, const, mixed, single)]
+        for _ in range(60):
+            point = [random_element(spec, rng) for _ in abcd]
+            values = dict(zip(abcd, point))
+            assert system_check(*point).residuals == tuple(
+                r.evaluate(values) for r in residuals)
+
+
 def test_system_check_infers_spec_from_elements():
     assert system_check(F3.element(1), F3.zero(), F3.zero(), F3.element(2)).all_zero is False
     assert system_check(F3.element(1), F3.zero(), 0, 0).all_zero

@@ -90,6 +90,14 @@ def test_enumerate_budget_error(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_enumerate_refuses_a_huge_space_at_once(capsys):
+    # 3^10201 candidates: the refusal must not format the count
+    t0 = time.perf_counter()
+    assert run(["enumerate", "--ring", "zp:3", "--max-deg", "100"]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_enumerate_missing_bound(capsys):
     assert run(["enumerate", "--ring", "int", "--max-deg", "1"]) == 2
     assert "coeff_bound" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Exhaustive enumeration spaces, reports, and the family cross-checks."""
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -39,6 +41,25 @@ def test_space_validation():
         EnumSpace(F3, 2, budget=10_000)
     with pytest.raises(BudgetExceeded):
         EnumSpace(Z, 2, 4)  # 9^9 > 10^8 default budget
+
+
+def test_over_budget_spaces_are_refused_at_once():
+    # the count is never formed in full and the coefficient values are never
+    # built, so a space of any size is refused in bounded time and memory.
+    # zp:3 at degree 3000 comes first: code that forms the count fails on it
+    # within seconds, before the two larger spaces could take gigabytes.
+    for args in ((F3, 3000), (F3, 10**6), (Z, 1, 10**12)):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(BudgetExceeded, match="budget"):
+                EnumSpace(*args)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2**20
 
 
 def test_candidate_counts():

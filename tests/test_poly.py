@@ -274,22 +274,6 @@ def test_degree_multiplicativity(rng):
             done += 1
 
 
-def test_homogeneous_components():
-    p = MultiPoly.parse("x^2*y + x + y", Z)
-    assert p.homogeneous_component(3) == MultiPoly.parse("x^2*y", Z)
-    assert p.homogeneous_component(1) == MultiPoly.parse("x + y", Z)
-    assert p.homogeneous_component(2).is_zero
-
-
-def test_homogeneous_partition(rng):
-    for _ in range(100):
-        p = random_poly(F5, XYZ, rng, max_deg=3)
-        total = MultiPoly.zero(F5, XYZ)
-        for k in range(p.deg() + 1):
-            total = total + p.homogeneous_component(k)
-        assert total == p
-
-
 def test_coeff_lookup():
     p = MultiPoly.parse("x^2*y + 5", Z)
     assert p.coeff((2, 1)) == 5 - 4
