@@ -24,7 +24,7 @@ from .classify import (
     system_check,
 )
 from .errors import AlgebraError
-from .jacobi import EquationForm, constant_satisfies, defect, satisfies, swap
+from .jacobi import EquationForm, defect, satisfies, swap
 from .numtheory import (
     BasePDigits,
     Cor2aReport,
@@ -42,8 +42,6 @@ from .numtheory import (
 from .oracle import (
     EnumReport,
     EnumSpace,
-    cross_check_families,
-    degree_bound_report,
     enumerate_solutions,
     family_members,
     predicted_solutions,
@@ -74,13 +72,10 @@ __all__ = [
     "base_p_digits",
     "binom_mod_p",
     "classify",
-    "constant_satisfies",
     "constant_solutions",
     "cor2a_check",
     "cor2b_check",
-    "cross_check_families",
     "defect",
-    "degree_bound_report",
     "digit_sum",
     "enumerate_solutions",
     "family_members",

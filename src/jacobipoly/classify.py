@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .errors import (
-    AlgebraError,
-    CharMismatch,
-    ConditionViolated,
-    SpecMismatch,
-)
+from .errors import AlgebraError, CharMismatch, ConditionViolated
 from .jacobi import EquationForm, defect, _require_xy
 from .poly import MultiPoly, Monomial
 from .rings import RingElement, RingSpec
@@ -158,14 +153,12 @@ class ClassificationResult:
         return self.family is not None
 
 
-def classify(p: MultiPoly, spec: RingSpec | None = None) -> ClassificationResult:
+def classify(p: MultiPoly) -> ClassificationResult:
     """Decide whether P satisfies J1 and name its family if it does.
 
     Non-solutions come back with the graded-lex least nonzero term of the
     J1 defect as the violation witness.
     """
-    if spec is not None and spec != p.spec:
-        raise SpecMismatch(f"polynomial over {p.spec}, expected {spec}")
     _require_xy(p)
     spec = p.spec
     if p.deg_in("x") <= 1 and p.deg_in("y") <= 1:
@@ -193,8 +186,8 @@ def classify(p: MultiPoly, spec: RingSpec | None = None) -> ClassificationResult
 
 @dataclass(frozen=True)
 class ConstantSolutionRule:
-    """Which constants satisfy J1 over a given ring: 3c = 0, so every
-    constant in characteristic 3 and only zero otherwise."""
+    """Which constants satisfy J1 over a given ring: every constant in
+    characteristic 3 and only zero otherwise."""
 
     characteristic: int
     every_constant: bool
@@ -207,7 +200,9 @@ class ConstantSolutionRule:
 
 
 def constant_solutions(spec: RingSpec) -> ConstantSolutionRule:
+    """The constants are the A = B = C = 0 slice of the system, where only
+    3*D*(B+1) = 3*D is left, so D = 1 solves it exactly when every D does."""
     return ConstantSolutionRule(
         characteristic=spec.characteristic,
-        every_constant=spec.characteristic == 3,
+        every_constant=system_check(0, 0, 0, 1, spec=spec).all_zero,
     )

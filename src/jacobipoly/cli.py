@@ -15,6 +15,7 @@ enumeration disagrees with the predicted set), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -147,6 +148,8 @@ def _cmd_families(args) -> int:
     return 0
 
 
+# built on the first run, not at import, and reused by every later run
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobipoly",
@@ -180,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="degree cap per variable")
     e.add_argument("--coeff-bound", type=int, default=None,
                    help="coefficient box bound (integers only)")
-    e.add_argument("--budget", type=int, default=10**8,
+    e.add_argument("--budget", type=int, default=EnumSpace.budget,
                    help="candidate count limit")
     e.set_defaults(handler=_cmd_enumerate)
 
@@ -198,8 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (AlgebraError, ValueError) as exc:

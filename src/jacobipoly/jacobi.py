@@ -24,7 +24,6 @@ import math
 
 from .errors import BudgetExceeded, WrongArity
 from .poly import MultiPoly, _accumulate, _mul_raw
-from .rings import RingSpec
 
 
 class EquationForm(enum.Enum):
@@ -123,9 +122,3 @@ def swap(p: MultiPoly) -> MultiPoly:
     _require_xy(p)
     return MultiPoly._from_raw(
         p.spec, p.vars, {(j, i): v for (i, j), v in p._terms.items()})
-
-
-def constant_satisfies(spec: RingSpec, value) -> bool:
-    """Whether the constant polynomial c satisfies J1, i.e. 3c = 0."""
-    c = spec.element(value)
-    return (c + c + c).is_zero

@@ -168,14 +168,3 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
         agreement=agreement,
         max_solution_degrees=(dx, dy),
     )
-
-
-def cross_check_families(space: EnumSpace) -> bool:
-    """Exhaustively confirm that the J1 solutions of the space are exactly
-    the family members."""
-    return enumerate_solutions(space, EquationForm.J1).agreement
-
-
-def degree_bound_report(report: EnumReport) -> bool:
-    """Whether every found solution has degree at most 1 per variable."""
-    return max(report.max_solution_degrees) <= 1

@@ -23,9 +23,9 @@ factors joined by optional ``*``.  A factor is an integer literal, a
 variable, or (over an extension ring only) a parenthesized coefficient,
 e.g. ``(1+2*t^2)*x*y``; any factor may carry one ``^uint``.  A
 parenthesized coefficient is read by the same grammar, with the extension
-variable as its only name.  Whitespace is insignificant.  `parse` and
-`str` round trip: parse(str(p)) == p, and str picks one canonical
-spelling.
+variable as its only name, nested at most 100 deep.  Whitespace is
+insignificant.  `parse` and `str` round trip: parse(str(p)) == p, and str
+picks one canonical spelling.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ from .rings import (_IDENT, EXTENSION, INTEGERS, RingElement, RingSpec,
 # computed, so a short text cannot demand unbounded work.  F_p needs no
 # bound: a^e mod p takes about 2*log2(e) steps.
 _MAX_POWER_SIZE = 1024
+
+# Deepest nesting of parenthesized coefficients the parser reads.  Each level
+# takes three Python frames, so the cap stays far below the recursion limit.
+_MAX_NESTING = 100
 
 _DIGITS = re.compile(r"[0-9]+")
 
@@ -445,6 +449,7 @@ class _Parser:
         self.vars = vars
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self):
         return self.toks[self.i]
@@ -498,8 +503,13 @@ class _Parser:
             if spec.kind != EXTENSION:
                 raise CoefficientNotInRing(
                     f"parenthesized coefficients are not valid over {spec}")
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{_MAX_NESTING} levels", pos)
+            self.depth += 1
             raw = self.expr(True).get((0,) * len(self.vars), spec._rzero)
             self.take()  # the ")" that ended the inner expression
+            self.depth -= 1
         elif kind == "name" and inner:
             if value != spec.var_name:
                 raise UnknownVariable(f"{value!r} is not the extension "

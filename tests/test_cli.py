@@ -134,7 +134,27 @@ def test_parse_errors_exit_2(capsys):
     assert run(["verify", "--ring", "zp:9", "x"]) == 2
     assert run(["verify", "--ring", "bogus", "x"]) == 2
     assert run(["classify", "--ring", "int", "x +"]) == 2
+    assert run(["verify", "--ring", "int", "x^2^3"]) == 2
     capsys.readouterr()
+
+
+def test_deep_coefficient_nesting_exits_2(capsys):
+    text = "(" * 3000 + "t" + ")" * 3000 + "*x"
+    start = time.perf_counter()
+    assert run(["verify", "--ring", "zp:3[t]", text]) == 2
+    assert time.perf_counter() - start < 1
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_runs_in_one_process_do_not_share_options(capsys):
+    assert run(["verify", "--ring", "zp:3", "--form", "j5", "x*y"]) == 1
+    assert capsys.readouterr().out.startswith("j5 violated")
+    assert run(["verify", "--ring", "zp:3", "x*y"]) == 0
+    assert capsys.readouterr().out == "j1 satisfied\n"
+    assert run(["verify", "--ring", "int", "--output", "json", "x"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "violated"
+    assert run(["verify", "--ring", "int", "x"]) == 1
+    assert capsys.readouterr().out.startswith("j1 violated, witness ")
 
 
 def test_oversized_input_exits_2(capsys):

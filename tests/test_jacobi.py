@@ -15,7 +15,6 @@ from jacobipoly import (
     EquationForm,
     MultiPoly,
     RingSpec,
-    constant_satisfies,
     defect,
     jacobi,
     satisfies,
@@ -128,13 +127,16 @@ def test_constant_defect_is_three_c():
     assert not satisfies(MultiPoly.constant(F5, XY, 2), EquationForm.J1)
 
 
-def test_constant_satisfies_rule():
-    assert constant_satisfies(F3, 2)
-    assert constant_satisfies(E3, E3.generator())
-    assert constant_satisfies(Z, 0)
-    assert not constant_satisfies(Z, 1)
-    assert not constant_satisfies(F5, 1)
-    assert constant_satisfies(F2, 0) and not constant_satisfies(F2, 1)
+def test_constant_j1_rule():
+    def solves(spec, value):
+        return satisfies(MultiPoly.constant(spec, XY, value), EquationForm.J1)
+
+    assert solves(F3, 2)
+    assert solves(E3, E3.generator())
+    assert solves(Z, 0)
+    assert not solves(Z, 1)
+    assert not solves(F5, 1)
+    assert solves(F2, 0) and not solves(F2, 1)
 
 
 def test_swap():

@@ -92,6 +92,9 @@ def test_binom_examples():
         assert binom_mod_p(17, 0, p) == 1
         assert binom_mod_p(0, 0, p) == 1
         assert binom_mod_p(3, 9, p) == math.comb(3, 9) % p == 0
+    for n, m in ((-1, 0), (0, -1), (-5, -2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            binom_mod_p(n, m, 3)
 
 
 def test_binom_against_pascal():

@@ -11,8 +11,6 @@ from jacobipoly import (
     EquationForm,
     MultiPoly,
     RingSpec,
-    cross_check_families,
-    degree_bound_report,
     enumerate_solutions,
     family_members,
     predicted_solutions,
@@ -145,15 +143,15 @@ def test_predicted_solutions_by_form():
     assert predicted_solutions(space, EquationForm.J6) == zero_only
 
 
-def test_cross_check_families_small():
+def test_j1_scan_agrees_with_families_small():
     for space in (EnumSpace(F2, 1), EnumSpace(F3, 1), EnumSpace(F5, 1),
                   EnumSpace(Z, 1, 2)):
-        assert cross_check_families(space)
+        assert enumerate_solutions(space, EquationForm.J1).agreement
 
 
-def test_degree_bound_report():
+def test_j1_report_degree_bound():
     rep = enumerate_solutions(EnumSpace(F3, 1), EquationForm.J1)
-    assert degree_bound_report(rep)
+    assert max(rep.max_solution_degrees) <= 1
 
 
 def test_reports_are_deterministic():

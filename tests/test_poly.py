@@ -13,7 +13,7 @@ from jacobipoly.errors import (
     UnknownVariable,
     VarListMismatch,
 )
-from jacobipoly.poly import _MAX_POWER_SIZE
+from jacobipoly.poly import _MAX_NESTING, _MAX_POWER_SIZE
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -80,6 +80,11 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as info:
         MultiPoly.parse("x + $", Z)
     assert info.value.position == 4
+    for text, position in (("x^2^3", 3), ("x )", 2)):
+        with pytest.raises(ParseError, match="expected '\\+' or '-'") \
+                as info:
+            MultiPoly.parse(text, Z)
+        assert info.value.position == position
 
 
 def test_parenthesized_coefficients_use_the_polynomial_grammar():
@@ -118,6 +123,17 @@ def test_coefficient_powers_are_bounded():
         MultiPoly.parse(f"(1+t)^{e + 1}", E3)
     with pytest.raises(ParseError):
         MultiPoly.parse(f"((1+t)^{e})^2", E3)
+
+
+def test_coefficient_nesting_is_bounded():
+    def nested(depth):
+        return "(" * depth + "t" + ")" * depth + "*x"
+
+    assert MultiPoly.parse(nested(_MAX_NESTING), E3) == \
+        MultiPoly.parse("(t)*x", E3)
+    with pytest.raises(ParseError) as info:
+        MultiPoly.parse(nested(_MAX_NESTING + 1), E3)
+    assert info.value.position == _MAX_NESTING
 
 
 def test_coefficient_products_are_bounded():

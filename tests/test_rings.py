@@ -8,6 +8,7 @@ from conftest import random_element
 from jacobipoly import RingSpec
 from jacobipoly.errors import (ModulusTooLarge, NotPrime, ParseError,
                                SpecMismatch)
+from jacobipoly.rings import EXTENSION, INTEGERS, PRIME_FIELD
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -37,6 +38,20 @@ def test_nonprime_modulus_rejected():
             RingSpec.prime_field(p)
     with pytest.raises(NotPrime):
         RingSpec.extension(8, "t")
+
+
+def test_constructor_rejects_bad_parameters():
+    for args, message in (
+            (("gf", 3), "unknown ring kind"),
+            ((INTEGERS, 3), "no parameters"),
+            ((INTEGERS, None, "t"), "no parameters"),
+            ((PRIME_FIELD,), "prime modulus is required"),
+            ((EXTENSION, None, "t"), "prime modulus is required"),
+            ((PRIME_FIELD, 3, "t"), "no variable name"),
+            ((EXTENSION, 3), "identifier variable name"),
+            ((EXTENSION, 3, "2t"), "identifier variable name")):
+        with pytest.raises(ValueError, match=message):
+            RingSpec(*args)
 
 
 def test_large_modulus_is_decided_quickly():
