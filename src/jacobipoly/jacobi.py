@@ -13,8 +13,9 @@ R(u,v,w) = P(u, P(v,w)), with its arguments permuted: J1 is
 L(x,y,z) + L(y,z,x) + L(z,x,y), and J5 is L(x,y,z) + R(y,x,z) - R(x,y,z).
 
 P satisfies a form when its defect is the zero polynomial, as a formal
-identity on coefficients (never a pointwise check; finite fields conflate
-distinct polynomials as functions).
+identity on coefficients.  A pointwise evaluation may reject a candidate,
+since a nonzero value proves the defect nonzero, but only the formal defect
+accepts one: finite fields conflate distinct polynomials as functions.
 """
 
 from __future__ import annotations

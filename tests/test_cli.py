@@ -339,3 +339,13 @@ def test_readme_examples(capsys, command, expected):
     out = capsys.readouterr().out
     assert _ELAPSED.sub("<elapsed>", out) == \
         _ELAPSED.sub("<elapsed>", expected)
+
+
+def test_enumerate_json_counts_formal_checks(capsys):
+    # the points of GF(27) reject every non-solution, so only the 12
+    # solutions reach the formal defect
+    assert run(["enumerate", "--ring", "zp:3", "--max-deg", "1",
+                "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["candidates"] == 81 and len(payload["solutions"]) == 12
+    assert payload["formally_checked"] == 12

@@ -1,6 +1,7 @@
 """Exhaustive enumeration spaces, reports, and the family cross-checks."""
 
 import json
+import random
 import time
 import tracemalloc
 
@@ -11,12 +12,15 @@ from jacobipoly import (
     EquationForm,
     MultiPoly,
     RingSpec,
+    defect,
     enumerate_solutions,
     family_members,
+    is_prime,
     predicted_solutions,
     swap,
 )
 from jacobipoly.errors import BudgetExceeded, UnsupportedSpec
+from jacobipoly.oracle import _field_tables, _filter_field
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -171,3 +175,64 @@ def test_report_dict_shape():
     assert d["agreement"] is True
     assert "0" in d["solutions"]
     json.dumps(d)  # JSON-serializable throughout
+
+
+def test_point_filter_never_changes_a_result():
+    # the filter only rejects: every form's solutions equal those of a loop
+    # that runs the formal defect on every candidate
+    for space in (EnumSpace(F2, 2), EnumSpace(F3, 1), EnumSpace(F5, 1),
+                  EnumSpace(RingSpec.prime_field(7), 1), EnumSpace(Z, 1, 2)):
+        for form in EquationForm:
+            rep = enumerate_solutions(space, form)
+            assert rep.solutions == tuple(
+                p for p in space.candidates() if defect(p, form).is_zero)
+            assert len(rep.solutions) <= rep.checked < space.candidate_count
+
+
+def test_filter_fields_are_fields():
+    # every prime of the cap that some ring maps to, and the integers' prime
+    primes = [p for p in range(2, 129) if is_prime(p)]
+    assert _filter_field(Z) == (127, 1)
+    assert _filter_field(RingSpec.prime_field(131)) is None
+    sizes = {}
+    rnd = random.Random(9)
+    for p in primes:
+        p_, k = _filter_field(RingSpec.prime_field(p))
+        assert p_ == p
+        add, mul = _field_tables(p, k)
+        q = sizes[p] = p ** k
+        assert len(add) == len(mul) == q
+        assert all(len(row) == q for row in add + mul)
+        els = range(q)
+        assert [add[0][a] for a in els] == list(els)
+        assert [mul[1][a] for a in els] == list(els)
+        assert all(mul[0][a] == 0 for a in els)
+        assert all(1 in mul[a] for a in range(1, q))  # every inverse exists
+        assert all(add[a][b] == (a + b) % p and mul[a][b] == a * b % p
+                   for a in range(p) for b in range(p))  # F_p is 0..p-1
+        for _ in range(300):
+            a, b, c = (rnd.randrange(q) for _ in range(3))
+            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+            assert add[add[a][b]][c] == add[a][add[b][c]]
+            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+            assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+    assert [sizes[p] for p in (2, 3, 5, 7, 11, 13)] == \
+        [16, 27, 25, 49, 121, 13]
+
+
+def test_large_characteristic_is_scanned_without_tables():
+    # F_10007 is past the table cap: no table of p^2 = 10^8 entries is
+    # built, and every candidate goes to the formal defect
+    space = EnumSpace(RingSpec.prime_field(10007), 0)
+    t0 = time.perf_counter()
+    rep = enumerate_solutions(space, EquationForm.J1)
+    assert time.perf_counter() - t0 < 1.0
+    assert [str(s) for s in rep.solutions] == ["0"] and rep.agreement
+    assert rep.checked == space.candidate_count == 10007
+    tracemalloc.start()
+    try:
+        enumerate_solutions(space, EquationForm.J1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
