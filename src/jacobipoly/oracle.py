@@ -15,6 +15,14 @@ defect nonzero and rejects the candidate (Schwartz 1980; Zippel 1979).
 Pointwise evidence never accepts one: every survivor goes through the
 formal `defect`.  The points lie in GF(p^k) and not in F_p, because F_p
 cannot tell apart polynomials that agree as functions on it.
+
+The first point is evaluated along the odometer rather than per
+candidate.  Its sums are kept per odometer depth, so a step redoes only
+the positions that changed, and the constant term, which varies fastest,
+is added last: per setting of the other coefficients, each composition
+is prepared once and then costs a few table lookups per constant value.
+Only the candidates that vanish there are evaluated at the other points,
+one at a time.
 """
 
 from __future__ import annotations
@@ -188,11 +196,10 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
     to classify as a family member.
     """
     field = _filter_field(space.spec)
-    rejects = _PointFilter(space, form, *field).rejects if field else None
+    combos = (_PointFilter(space, form, *field).walk() if field
+              else space._odometer())
     solutions, checked = [], 0
-    for combo in space._odometer():
-        if rejects and rejects(combo):
-            continue
+    for combo in combos:
         checked += 1
         p = space._poly(combo)
         if not defect(p, form):
@@ -226,11 +233,17 @@ def _filter_field(spec: RingSpec) -> tuple[int, int] | None:
 
 def _digit_add(p: int, k: int) -> list[list[int]]:
     """Digitwise sum mod p of the ints below p^k: the addition of GF(p^k)."""
-    if k == 0:
-        return [[0]]
-    high, q = _digit_add(p, k - 1), p ** k
-    return [[(a + b) % p + p * high[a // p][b // p] for b in range(q)]
-            for a in range(q)]
+    digits = list(range(p))
+    rows = [digits[a:] + digits[:a] for a in range(p)]  # F_p: rotations
+    if k == 1:
+        return rows
+    # a + p*h plus b + p*g is (a + b) % p + p * high[h][g]: row a + p*h is
+    # row a of F_p, shifted by p * high[h][g] in block g
+    high, top = _digit_add(p, k - 1), p ** (k - 1)
+    blocks = [[[x + p * s for x in row] for s in range(top)] for row in rows]
+    return [list(itertools.chain.from_iterable(map(blocks[a].__getitem__,
+                                                   high[h])))
+            for h in range(top) for a in range(p)]
 
 
 def _field_tables(p: int, k: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -249,14 +262,18 @@ def _field_tables(p: int, k: int) -> tuple[list[list[int]], list[list[int]]]:
     for low in range(1, q):
         if low % p == 0:
             continue  # f(0) = 0 makes X a zero divisor
-        # X^k = -low, so X * (h X^(k-1)) = scaled[h]
-        scaled = [sum(-h * (low // p ** i % p) % p * p ** i
-                      for i in range(k)) for h in range(p)]
+        # X^k = -low, so X * (h X^(k-1)) = scaled[h] = h * -low
+        scaled, minus = [0], add[low].index(0)
+        for _ in range(p - 1):
+            scaled.append(add[scaled[-1]][minus])
+        # X is a unit, so its powers are distinct up to the first 1
         exp = [1]
         for _ in range(q - 2):
             e = exp[-1]
             exp.append(add[e % top * p][scaled[e // top]])
-        if len(set(exp)) == q - 1:
+            if exp[-1] == 1:
+                break
+        else:
             break
     else:
         raise ArithmeticError(f"no primitive polynomial of degree {k} "
@@ -264,8 +281,11 @@ def _field_tables(p: int, k: int) -> tuple[list[list[int]], list[list[int]]]:
     log = [0] * q
     for n, e in enumerate(exp):
         log[e] = n
+    # a * b = exp[log a + log b]: row a is exp from log a on, read at the
+    # logs of 1..q-1
     exp += exp
-    mul = [[0] * q] + [[0] + [exp[log[a] + log[b]] for b in range(1, q)]
+    logs = log[1:]
+    mul = [[0] * q] + [[0, *map(exp[log[a]:].__getitem__, logs)]
                        for a in range(1, q)]
     return add, mul
 
@@ -280,13 +300,28 @@ class _PointFilter:
     coefficients H(u)_j = sum_i c_ij u^i.  So a base L = P(P(a,b), c) is
     G(b) evaluated at a, then G(c) at that value, and R = P(a, P(b,c)) is
     H(b) at c, then H(a) at that value, each by Horner's rule.  All the
-    vectors a form needs at a point sit in one list, d + 1 slots each.
+    vectors a form needs at a point sit in one list, d + 1 slots each,
+    from the highest degree down.
+
+    `walk` runs the whole odometer at the first point.  It keeps one
+    accumulator list per odometer depth: accs[k] holds the slots after
+    positions 0..k-1 of the current prefix, the positions before the
+    constant term's.  From one prefix to the next, the odometer changes the
+    last position not at the first coefficient value and resets the ones
+    after it, so only the depths from there on are redone.  The constant
+    term c adds c to the lowest slot of every vector, which adds c to each
+    term's inner value, and c (signed) to the term after its outer Horner
+    loop.  So per prefix each term's inner value and outer coefficients are
+    computed once; per constant value a term costs one add and the outer
+    loop.  `rejects` checks the candidates that vanish there at the other
+    points, and is the per-candidate reference the walk is tested against.
     """
 
     def __init__(self, space: EnumSpace, form: EquationForm, p: int, k: int):
         self.add, self.mul = add, mul = _field_tables(p, k)
         self.neg = [row.index(0) for row in add]
         self.modulus = p if space.spec.kind == INTEGERS else None
+        self.values = space.coefficient_values
         d = space.max_deg_per_var
         self.width = d + 1
         vectors = []  # (side, variable): side 0 is G, side 1 is H
@@ -310,35 +345,93 @@ class _PointFilter:
                 while len(pw) <= d:
                     pw.append(mul[pw[-1]][at[v]])
             # per monomial position, the (slot, row) pairs it adds to:
-            # coefficient c adds row[c] = c * v^e to that slot
-            feeds = [tuple((n * self.width + (i, j)[side],
+            # coefficient c adds row[c] = c * v^e to that slot; a vector's
+            # slots run from its highest degree down
+            feeds = [tuple((n * self.width + d - (i, j)[side],
                             mul[powers[v][(j, i)[side]]])
                            for n, (side, v) in enumerate(vectors))
                      for i, j in space.monomials]
             self.points.append((feeds, [
-                (sign, n_in * self.width + d, at[v], n_out * self.width + d)
+                (sign, n_in * self.width, at[v], n_out * self.width)
                 for sign, n_in, v, n_out in terms]))
 
-    def rejects(self, combo) -> bool:
+    def rejects(self, combo, first: int = 0) -> bool:
+        """Whether the sum is nonzero at one of the points from `first` on."""
         add, mul, neg = self.add, self.mul, self.neg
         if self.modulus:
             combo = [c % self.modulus for c in combo]
         width = self.width
-        for feeds, terms in self.points:
+        for feeds, terms in self.points[first:]:
             acc = [0] * self.slots
             for c, pairs in zip(combo, feeds):
                 if c:
                     for s, row in pairs:
                         acc[s] = add[acc[s]][row[c]]
             total = 0
-            for sign, top_in, u, top_out in terms:
-                t, mu = acc[top_in], mul[u]
-                for s in range(top_in - 1, top_in - width, -1):
+            for sign, inner, u, outer in terms:
+                t, mu = acc[inner], mul[u]
+                for s in range(inner + 1, inner + width):
                     t = add[mu[t]][acc[s]]
-                v, mt = acc[top_out], mul[t]
-                for s in range(top_out - 1, top_out - width, -1):
+                v, mt = acc[outer], mul[t]
+                for s in range(outer + 1, outer + width):
                     v = add[mt[v]][acc[s]]
                 total = add[total][v if sign > 0 else neg[v]]
             if total:
                 return True
         return False
+
+    def walk(self):
+        """The raw coefficient tuples of the space that `rejects` lets
+        through, in odometer order."""
+        add, mul, neg, values = self.add, self.mul, self.neg, self.values
+        width, slots = self.width, self.slots
+        reduced = ([c % self.modulus for c in values] if self.modulus
+                   else values)
+        feeds, terms = self.points[0]
+        # per prefix position and value index, the (slot, add row) pairs
+        # the value adds through; a zero adds nothing, so its depth shares
+        # the list of the depth before
+        steps = [[tuple((s, add[row[c]]) for s, row in pairs) if c else ()
+                  for c in reduced] for pairs in feeds[:-1]]
+        n = len(steps)
+        last = max(n - 1, 0)
+        sub = [list(map(row.__getitem__, neg)) for row in add]  # a - b
+        # each term adds sign * c after its outer Horner loop
+        shift = [0] * len(add)
+        for sign, *_ in terms:
+            shift = [(add if sign > 0 else sub)[t][c]
+                     for c, t in enumerate(shift)]
+        terms = [(inner, mul[u], outer, add if sign > 0 else sub)
+                 for sign, inner, u, outer in terms]
+        accs = [[0] * slots] * (n + 1)
+        # value indices of every position but the constant term's
+        for prefix in itertools.product(range(len(values)), repeat=n):
+            k = last  # the first changed position
+            while k and not prefix[k]:
+                k -= 1
+            for k in range(k, n):
+                step, acc = steps[k][prefix[k]], accs[k]
+                if step:
+                    acc = acc[:]
+                    for s, row in step:
+                        acc[s] = row[acc[s]]
+                accs[k + 1] = acc
+            acc = accs[n]
+            prep = []  # per term: add row of its inner value, outer slots
+            for inner, mu, outer, srow in terms:
+                t = acc[inner]
+                for s in range(inner + 1, inner + width):
+                    t = add[mu[t]][acc[s]]
+                prep.append((add[t], acc[outer], acc[outer + 1:outer + width],
+                             srow))
+            for i, c in enumerate(reduced):
+                total = shift[c]
+                for trow, v, rest, srow in prep:
+                    mt = mul[trow[c]]
+                    for co in rest:
+                        v = add[mt[v]][co]
+                    total = srow[total][v]
+                if not total:
+                    combo = tuple(values[j] for j in prefix) + (values[i],)
+                    if not self.rejects(combo, 1):
+                        yield combo

@@ -20,7 +20,7 @@ from jacobipoly import (
     swap,
 )
 from jacobipoly.errors import BudgetExceeded, UnsupportedSpec
-from jacobipoly.oracle import _field_tables, _filter_field
+from jacobipoly.oracle import _PointFilter, _field_tables, _filter_field
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -236,3 +236,45 @@ def test_large_characteristic_is_scanned_without_tables():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_walk_equals_the_per_candidate_filter():
+    # the odometer walk lets through exactly the candidates that the
+    # per-candidate check passes, in odometer order; int box 130 has
+    # coefficients +-127 that alias 0 mod 127
+    F7 = RingSpec.prime_field(7)
+    spaces = (EnumSpace(F2, 2), EnumSpace(F2, 3), EnumSpace(F3, 0),
+              EnumSpace(F3, 1), EnumSpace(F3, 2), EnumSpace(F5, 1),
+              EnumSpace(F7, 1), EnumSpace(Z, 1, 2), EnumSpace(Z, 0, 130))
+    for space in spaces:
+        for form in EquationForm:
+            f = _PointFilter(space, form, *_filter_field(space.spec))
+            assert list(f.walk()) == \
+                [c for c in space._odometer() if not f.rejects(c)]
+
+
+def test_perfbench_scans_check_only_their_solutions():
+    for space, form, checked in (
+            (EnumSpace(F3, 2), EquationForm.J1, 12),
+            (EnumSpace(F3, 2), EquationForm.J5, 1),
+            (EnumSpace(Z, 1, 6), EquationForm.J1, 2),
+            (EnumSpace(Z, 1, 6), EquationForm.J2, 2),
+            (EnumSpace(F5, 1), EquationForm.J1, 4),
+            (EnumSpace(RingSpec.prime_field(7), 1), EquationForm.J1, 6)):
+        rep = enumerate_solutions(space, form)
+        assert rep.agreement
+        assert rep.checked == len(rep.solutions) == checked
+
+
+def test_scan_memory_is_flat():
+    # 65 536 candidates: neither the odometer nor a list of candidates per
+    # prefix is held in memory
+    space = EnumSpace(F2, 3)
+    tracemalloc.start()
+    try:
+        rep = enumerate_solutions(space, EquationForm.J1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.agreement and space.candidate_count == 65536
+    assert peak < 2**20
