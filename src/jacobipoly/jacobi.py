@@ -13,9 +13,15 @@ R(u,v,w) = P(u, P(v,w)), with its arguments permuted: J1 is
 L(x,y,z) + L(y,z,x) + L(z,x,y), and J5 is L(x,y,z) + R(y,x,z) - R(x,y,z).
 
 P satisfies a form when its defect is the zero polynomial, as a formal
-identity on coefficients.  A pointwise evaluation may reject a candidate,
-since a nonzero value proves the defect nonzero, but only the formal defect
-accepts one: finite fields conflate distinct polynomials as functions.
+identity on coefficients: finite fields conflate distinct polynomials as
+functions, so no evaluation at points can accept one.
+
+`generic_defect` expands the defect of the generic P, whose coefficients
+c_n are indeterminates: each (x, y, z) coefficient of the defect is then an
+integer polynomial in the c_n, and the defect of any P over a ring of that
+characteristic is read off by putting P's coefficients in for the c_n.
+The exhaustive scan prunes with these polynomials and confirms each
+candidate it keeps with `defect`.
 """
 
 from __future__ import annotations
@@ -111,6 +117,56 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
             _accumulate(spec, acc, (e[i], e[j], e[k]),
                         v if sign > 0 else rneg(v))
     return MultiPoly._from_raw(spec, _XYZ, acc)
+
+
+def generic_defect(monomials, form: EquationForm, p: int) -> dict:
+    """The defect of the generic P = sum of c_n x^i y^j, (i, j) =
+    monomials[n], as its nonzero coefficients, keyed by (x, y, z) exponent
+    triples.
+
+    A coefficient is a list of (int, index tuple) terms, a polynomial in the
+    c_n: (3, (0, 0, 2)) is 3*c_0^2*c_2.  Integers are reduced mod p as they
+    are expanded (not at all for p = 0), so the result holds in every ring
+    of characteristic p.
+    """
+    def reduce(poly: dict) -> dict:
+        return {m: r for m, v in poly.items() if (r := v % p if p else v)}
+
+    def add(out: dict, key, poly: dict, n=None, sign=1) -> None:
+        """out[key] += sign * c_n * poly, or sign * poly for n None."""
+        into = out.setdefault(key, {})
+        for mono, v in poly.items():
+            if n is not None:
+                mono = tuple(sorted(mono + (n,)))
+            into[mono] = into.get(mono, 0) + sign * v
+
+    # P^k as {(a, b): {index tuple: int}}, each a product of k of the c_n
+    pows = [{(0, 0): {(): 1}}]
+    for _ in range(max(map(max, monomials))):
+        out: dict = {}
+        for (a, b), poly in pows[-1].items():
+            for n, (i, j) in enumerate(monomials):
+                add(out, (a + i, b + j), poly, n)
+        pows.append({e: reduce(poly) for e, poly in out.items()})
+
+    bases: dict = {}
+    acc: dict = {}
+    for sign, base, args in _COMPOSITIONS[form]:
+        if base not in bases:
+            # c_n P(u,v)^i w^j for L, c_n u^i P(v,w)^j for R, keyed by the
+            # exponents of (u, v, w)
+            out = {}
+            for n, (i, j) in enumerate(monomials):
+                for (a, b), poly in pows[i if base == "L" else j].items():
+                    key = (a, b, j) if base == "L" else (i, a, b)
+                    add(out, key, poly, n)
+            bases[base] = {e: reduce(poly) for e, poly in out.items()}
+        i, j, k = (args.index(v) for v in "xyz")
+        for e, poly in bases[base].items():
+            add(acc, (e[i], e[j], e[k]), poly, sign=sign)
+    reduced = ((e, reduce(poly)) for e, poly in acc.items())
+    return {e: [(v, mono) for mono, v in poly.items()]
+            for e, poly in reduced if poly}
 
 
 def satisfies(p: MultiPoly, form: EquationForm) -> bool:

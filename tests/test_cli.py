@@ -342,8 +342,8 @@ def test_readme_examples(capsys, command, expected):
 
 
 def test_enumerate_json_counts_formal_checks(capsys):
-    # the points of GF(27) reject every non-solution, so only the 12
-    # solutions reach the formal defect
+    # the search rules out every non-solution, so only the 12 solutions
+    # reach the formal defect
     assert run(["enumerate", "--ring", "zp:3", "--max-deg", "1",
                 "--output", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import random_poly
+from conftest import random_element, random_poly
 from jacobipoly import (
     EquationForm,
     MultiPoly,
@@ -226,3 +226,28 @@ def test_form_tags():
     assert [f.value for f in EquationForm] == ["j1", "j2", "j5", "j6"]
     with pytest.raises(ValueError):
         EquationForm.from_tag("j3")
+
+
+def test_generic_defect_is_the_defect(rng):
+    # each coefficient of the generic defect, evaluated in the ring at P's
+    # coefficients, is that coefficient of P's defect: the reduction mod
+    # the characteristic holds in every ring of it, F_p[t] included
+    for spec in (Z, F2, F3, F5, F7, E3):
+        for d in range(4):
+            monomials = [(i, j) for i in range(d + 1) for j in range(d + 1)]
+            for form in EquationForm:
+                generic = jacobi.generic_defect(monomials, form,
+                                                spec.characteristic)
+                for _ in range(2 if d < 3 else 1):
+                    c = [random_element(spec, rng) for _ in monomials]
+                    p = MultiPoly(spec, XY, dict(zip(monomials, c)))
+                    value = {}
+                    for e, terms in generic.items():
+                        total = spec.zero()
+                        for k, mono in terms:
+                            t = spec.element(k)
+                            for n in mono:
+                                t = t * c[n]
+                            total = total + t
+                        value[e] = total
+                    assert MultiPoly(spec, XYZ, value) == defect(p, form)

@@ -1,7 +1,6 @@
 """Exhaustive enumeration spaces, reports, and the family cross-checks."""
 
 import json
-import random
 import time
 import tracemalloc
 
@@ -15,12 +14,10 @@ from jacobipoly import (
     defect,
     enumerate_solutions,
     family_members,
-    is_prime,
     predicted_solutions,
     swap,
 )
 from jacobipoly.errors import BudgetExceeded, UnsupportedSpec
-from jacobipoly.oracle import _PointFilter, _field_tables, _filter_field
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -50,7 +47,10 @@ def test_over_budget_spaces_are_refused_at_once():
     # built, so a space of any size is refused in bounded time and memory.
     # zp:3 at degree 3000 comes first: code that forms the count fails on it
     # within seconds, before the two larger spaces could take gigabytes.
-    for args in ((F3, 3000), (F3, 10**6), (Z, 1, 10**12)):
+    # A degree cap above 4 is refused even within the budget, before its
+    # generic defect is expanded.
+    for args in ((F3, 3000), (F3, 10**6), (Z, 1, 10**12),
+                 (F2, 5, None, 10**40)):
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
@@ -189,46 +189,15 @@ def test_point_filter_never_changes_a_result():
             assert len(rep.solutions) <= rep.checked < space.candidate_count
 
 
-def test_filter_fields_are_fields():
-    # every prime of the cap that some ring maps to, and the integers' prime
-    primes = [p for p in range(2, 129) if is_prime(p)]
-    assert _filter_field(Z) == (127, 1)
-    assert _filter_field(RingSpec.prime_field(131)) is None
-    sizes = {}
-    rnd = random.Random(9)
-    for p in primes:
-        p_, k = _filter_field(RingSpec.prime_field(p))
-        assert p_ == p
-        add, mul = _field_tables(p, k)
-        q = sizes[p] = p ** k
-        assert len(add) == len(mul) == q
-        assert all(len(row) == q for row in add + mul)
-        els = range(q)
-        assert [add[0][a] for a in els] == list(els)
-        assert [mul[1][a] for a in els] == list(els)
-        assert all(mul[0][a] == 0 for a in els)
-        assert all(1 in mul[a] for a in range(1, q))  # every inverse exists
-        assert all(add[a][b] == (a + b) % p and mul[a][b] == a * b % p
-                   for a in range(p) for b in range(p))  # F_p is 0..p-1
-        for _ in range(300):
-            a, b, c = (rnd.randrange(q) for _ in range(3))
-            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
-            assert add[add[a][b]][c] == add[a][add[b][c]]
-            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
-            assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
-    assert [sizes[p] for p in (2, 3, 5, 7, 11, 13)] == \
-        [16, 27, 25, 49, 121, 13]
-
-
 def test_large_characteristic_is_scanned_without_tables():
-    # F_10007 is past the table cap: no table of p^2 = 10^8 entries is
-    # built, and every candidate goes to the formal defect
+    # a large p costs nothing per field element: the defect coefficient 3*c
+    # rules out every constant c != 0 without the formal defect
     space = EnumSpace(RingSpec.prime_field(10007), 0)
     t0 = time.perf_counter()
     rep = enumerate_solutions(space, EquationForm.J1)
     assert time.perf_counter() - t0 < 1.0
     assert [str(s) for s in rep.solutions] == ["0"] and rep.agreement
-    assert rep.checked == space.candidate_count == 10007
+    assert rep.checked == len(rep.solutions) == 1
     tracemalloc.start()
     try:
         enumerate_solutions(space, EquationForm.J1)
@@ -238,19 +207,17 @@ def test_large_characteristic_is_scanned_without_tables():
     assert peak < 4 * 2**20
 
 
-def test_walk_equals_the_per_candidate_filter():
-    # the odometer walk lets through exactly the candidates that the
-    # per-candidate check passes, in odometer order; int box 130 has
-    # coefficients +-127 that alias 0 mod 127
-    F7 = RingSpec.prime_field(7)
-    spaces = (EnumSpace(F2, 2), EnumSpace(F2, 3), EnumSpace(F3, 0),
-              EnumSpace(F3, 1), EnumSpace(F3, 2), EnumSpace(F5, 1),
-              EnumSpace(F7, 1), EnumSpace(Z, 1, 2), EnumSpace(Z, 0, 130))
-    for space in spaces:
+def test_search_checks_only_the_solutions():
+    # every leaf of the search is a solution, in odometer order.  At degree
+    # 0 the defect is 3*c for J1 and J2 and c for J5 and J6: over zp:3 the
+    # first is zero, so every candidate is a leaf, and over the int box 130
+    # both rule out every c != 0 at once
+    for space in (EnumSpace(F3, 0), EnumSpace(Z, 0, 130)):
         for form in EquationForm:
-            f = _PointFilter(space, form, *_filter_field(space.spec))
-            assert list(f.walk()) == \
-                [c for c in space._odometer() if not f.rejects(c)]
+            rep = enumerate_solutions(space, form)
+            assert rep.checked == len(rep.solutions)
+            assert rep.solutions == tuple(
+                p for p in space.candidates() if defect(p, form).is_zero)
 
 
 def test_perfbench_scans_check_only_their_solutions():
