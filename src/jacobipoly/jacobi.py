@@ -16,21 +16,22 @@ P satisfies a form when its defect is the zero polynomial, as a formal
 identity on coefficients: finite fields conflate distinct polynomials as
 functions, so no evaluation at points can accept one.
 
-`generic_defect` expands the defect of the generic P, whose coefficients
-c_n are indeterminates: each (x, y, z) coefficient of the defect is then an
-integer polynomial in the c_n, and the defect of any P over a ring of that
-characteristic is read off by putting P's coefficients in for the c_n.
-The exhaustive scan prunes with these polynomials and confirms each
-candidate it keeps with `defect`.
+`defect` and `generic_defect` run one expansion, `_compose`, over two
+coefficient rings: P's own, and the integer polynomials (mod p) in the
+coefficients c_n of the generic P, which are indeterminates.  Putting P's
+coefficients in for the c_n reads off the defect of any P over a ring of
+characteristic p.  The exhaustive scan prunes with the generic defect and
+confirms each candidate it keeps with `defect`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 from .errors import BudgetExceeded, WrongArity
-from .poly import MultiPoly, _accumulate, _mul_raw
+from .poly import MultiPoly, _accumulate
 
 
 class EquationForm(enum.Enum):
@@ -72,16 +73,44 @@ def _require_xy(p: MultiPoly) -> None:
             f"expected a bivariate polynomial over ('x', 'y'), got {p.vars}")
 
 
-def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
-    """The form's defect polynomial of P, over (x, y, z).
+def _compose(form: EquationForm, terms: dict, one, mul, neg, add) -> dict:
+    """The form's defect of P = sum of c x^i y^j, terms {(i, j): c}, keyed
+    by (x, y, z) exponent triples.
 
+    The c lie in any commutative ring, given by its one, product mul,
+    negation neg and add(out, key, v), which adds v into out[key] in place.
     The powers of P are computed once, each base the form uses is expanded
-    once from them, and each term adds its base with the exponent triples
-    permuted to its arguments.
+    once from them, and each term adds its base permuted to its arguments.
     """
+    pows = [{(0, 0): one}]
+    for _ in range(max(map(max, terms), default=0)):
+        out: dict = {}
+        for (a, b), v in pows[-1].items():
+            for (i, j), c in terms.items():
+                add(out, (a + i, b + j), mul(v, c))
+        pows.append(out)
+
+    bases: dict = {}
+    acc: dict = {}
+    for sign, base, args in _COMPOSITIONS[form]:
+        if base not in bases:
+            # keyed by the exponents of (u, v, w)
+            bases[base] = out = {}
+            for (i, j), c in terms.items():
+                for (a, b), v in pows[i if base == "L" else j].items():
+                    key = (a, b, j) if base == "L" else (i, a, b)
+                    add(out, key, mul(c, v))
+        # the base slots (u, v, w) = (0, 1, 2) that x, y and z fill
+        i, j, k = (args.index(v) for v in "xyz")
+        for e, v in bases[base].items():
+            add(acc, (e[i], e[j], e[k]), v if sign > 0 else neg(v))
+    return acc
+
+
+def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
+    """The form's defect polynomial of P, over (x, y, z)."""
     _require_xy(p)
     spec = p.spec
-    rmul, rneg = spec._rmul, spec._rneg
     terms = p._terms
     dx, dy = map(max, zip((0, 0), *terms))
     dmax, n = max(dx, dy), len(terms)
@@ -97,25 +126,8 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
             and work * math.comb(dmax + n - 1, dmax) > _MAX_DEFECT_WORK):
         raise BudgetExceeded(f"the powers of this {n}-term polynomial take "
                              f"more than {_MAX_DEFECT_WORK} ring operations")
-    pows = [{(0, 0): spec._rone}]
-    for _ in range(dmax):
-        pows.append(_mul_raw(spec, pows[-1], terms))
-
-    bases: dict = {}
-    acc: dict = {}
-    for sign, base, args in _COMPOSITIONS[form]:
-        if base not in bases:
-            # keyed by the exponents of (u, v, w)
-            bases[base] = out = {}
-            for (i, j), c in terms.items():
-                for (a, b), v in pows[i if base == "L" else j].items():
-                    key = (a, b, j) if base == "L" else (i, a, b)
-                    _accumulate(spec, out, key, rmul(c, v))
-        # the base slots (u, v, w) = (0, 1, 2) that x, y and z fill
-        i, j, k = (args.index(v) for v in "xyz")
-        for e, v in bases[base].items():
-            _accumulate(spec, acc, (e[i], e[j], e[k]),
-                        v if sign > 0 else rneg(v))
+    acc = _compose(form, terms, spec._rone, spec._rmul, spec._rneg,
+                   functools.partial(_accumulate, spec))
     return MultiPoly._from_raw(spec, _XYZ, acc)
 
 
@@ -129,44 +141,30 @@ def generic_defect(monomials, form: EquationForm, p: int) -> dict:
     are expanded (not at all for p = 0), so the result holds in every ring
     of characteristic p.
     """
-    def reduce(poly: dict) -> dict:
-        return {m: r for m, v in poly.items() if (r := v % p if p else v)}
-
-    def add(out: dict, key, poly: dict, n=None, sign=1) -> None:
-        """out[key] += sign * c_n * poly, or sign * poly for n None."""
-        into = out.setdefault(key, {})
-        for mono, v in poly.items():
-            if n is not None:
-                mono = tuple(sorted(mono + (n,)))
-            into[mono] = into.get(mono, 0) + sign * v
-
-    # P^k as {(a, b): {index tuple: int}}, each a product of k of the c_n
-    pows = [{(0, 0): {(): 1}}]
-    for _ in range(max(map(max, monomials))):
+    # a polynomial in the c_n is a dict {sorted index tuple: int}
+    def mul(f: dict, g: dict) -> dict:
         out: dict = {}
-        for (a, b), poly in pows[-1].items():
-            for n, (i, j) in enumerate(monomials):
-                add(out, (a + i, b + j), poly, n)
-        pows.append({e: reduce(poly) for e, poly in out.items()})
+        for m, v in f.items():
+            for n, w in g.items():
+                key = tuple(sorted(m + n))
+                out[key] = out.get(key, 0) + v * w
+        return out
 
-    bases: dict = {}
-    acc: dict = {}
-    for sign, base, args in _COMPOSITIONS[form]:
-        if base not in bases:
-            # c_n P(u,v)^i w^j for L, c_n u^i P(v,w)^j for R, keyed by the
-            # exponents of (u, v, w)
-            out = {}
-            for n, (i, j) in enumerate(monomials):
-                for (a, b), poly in pows[i if base == "L" else j].items():
-                    key = (a, b, j) if base == "L" else (i, a, b)
-                    add(out, key, poly, n)
-            bases[base] = {e: reduce(poly) for e, poly in out.items()}
-        i, j, k = (args.index(v) for v in "xyz")
-        for e, poly in bases[base].items():
-            add(acc, (e[i], e[j], e[k]), poly, sign=sign)
-    reduced = ((e, reduce(poly)) for e, poly in acc.items())
-    return {e: [(v, mono) for mono, v in poly.items()]
-            for e, poly in reduced if poly}
+    def add(out: dict, key, f: dict) -> None:
+        into = out.setdefault(key, {})
+        for m, v in f.items():
+            v += into.get(m, 0)
+            if v := v % p if p else v:
+                into[m] = v
+            else:
+                into.pop(m, None)
+        if not into:
+            del out[key]
+
+    terms = {mono: {(n,): 1} for n, mono in enumerate(monomials)}
+    acc = _compose(form, terms, {(): 1}, mul,
+                   functools.partial(mul, {(): -1}), add)
+    return {e: [(v, m) for m, v in f.items()] for e, f in acc.items()}
 
 
 def satisfies(p: MultiPoly, form: EquationForm) -> bool:

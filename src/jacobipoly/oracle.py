@@ -93,15 +93,16 @@ class EnumSpace:
         return tuple(pairs)
 
     @property
-    def coefficient_values(self) -> tuple[int, ...]:
+    def coefficient_values(self) -> range:
         """Raw coefficient values in their documented odometer order."""
         if self.spec.kind == INTEGERS:
             b = self.coeff_bound
-            return tuple(range(-b, b + 1))
-        return tuple(range(self.spec.p))
+            return range(-b, b + 1)
+        return range(self.spec.p)
 
     def _value_count(self) -> int:
-        """len(coefficient_values), without building them."""
+        """The number of coefficient values: len() of a range longer than
+        sys.maxsize raises OverflowError, which the CLI does not catch."""
         if self.spec.kind == INTEGERS:
             return 2 * self.coeff_bound + 1
         return self.spec.p

@@ -110,7 +110,7 @@ def _accumulate(spec: RingSpec, out: dict, key, value) -> None:
         out[key] = total
 
 
-# raw-term-dict arithmetic; `defect` also runs _mul_raw
+# raw-term-dict arithmetic
 
 def _add_raw(spec: RingSpec, a: dict, b: dict) -> dict:
     out = dict(a)

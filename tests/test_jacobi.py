@@ -231,7 +231,9 @@ def test_form_tags():
 def test_generic_defect_is_the_defect(rng):
     # each coefficient of the generic defect, evaluated in the ring at P's
     # coefficients, is that coefficient of P's defect: the reduction mod
-    # the characteristic holds in every ring of it, F_p[t] included
+    # the characteristic holds in every ring of it, F_p[t] included.  Both
+    # defects run one expansion, so the evaluated one is also compared with
+    # the substitution-only naive_defect
     for spec in (Z, F2, F3, F5, F7, E3):
         for d in range(4):
             monomials = [(i, j) for i in range(d + 1) for j in range(d + 1)]
@@ -250,4 +252,6 @@ def test_generic_defect_is_the_defect(rng):
                                 t = t * c[n]
                             total = total + t
                         value[e] = total
-                    assert MultiPoly(spec, XYZ, value) == defect(p, form)
+                    evaluated = MultiPoly(spec, XYZ, value)
+                    assert evaluated == defect(p, form)
+                    assert evaluated == naive_defect(p, form)

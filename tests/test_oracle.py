@@ -177,8 +177,8 @@ def test_report_dict_shape():
     json.dumps(d)  # JSON-serializable throughout
 
 
-def test_point_filter_never_changes_a_result():
-    # the filter only rejects: every form's solutions equal those of a loop
+def test_search_never_changes_a_result():
+    # the search only rejects: every form's solutions equal those of a loop
     # that runs the formal defect on every candidate
     for space in (EnumSpace(F2, 2), EnumSpace(F3, 1), EnumSpace(F5, 1),
                   EnumSpace(RingSpec.prime_field(7), 1), EnumSpace(Z, 1, 2)):
@@ -204,7 +204,7 @@ def test_large_characteristic_is_scanned_without_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 64 * 2**10
 
 
 def test_search_checks_only_the_solutions():
