@@ -23,8 +23,9 @@ from .jacobi import EquationForm, defect, _require_xy
 from .poly import MultiPoly, Monomial
 from .rings import RingElement, RingSpec
 
-# Exponents of the A, B, C, D coefficients in A*x*y + B*x + C*y + D.
-_ABCD_MONOMIALS = ((1, 1), (1, 0), (0, 1), (0, 0))
+# The monomial of each coefficient of A*x*y + B*x + C*y + D, in the order
+# `image` returns them.
+_ABCD = {"A": (1, 1), "B": (1, 0), "C": (0, 1), "D": (0, 0)}
 
 
 class FamilyParams:
@@ -104,9 +105,10 @@ def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
     if type(params) not in valid:
         raise CharMismatch(f"{params.name} is not a family over {spec}")
     abcd = params.image(*values, spec.zero())
-    if not system_check(*abcd, spec=spec).all_zero:
+    if not system_check(*abcd, spec).all_zero:
         raise ConditionViolated(f"{params.condition} fails for {params}")
-    return MultiPoly(spec, ("x", "y"), dict(zip(_ABCD_MONOMIALS, abcd)))
+    return MultiPoly._from_raw(spec, ("x", "y"), {
+        m: v.value for m, v in zip(_ABCD.values(), abcd) if not v.is_zero})
 
 
 _RESIDUAL_NAMES = ("3*A^2", "3*D*(B+1)", "A*(2*B+C)", "B^2+B*C+C+A*D")
@@ -128,15 +130,8 @@ class SystemResiduals:
                      if not r.is_zero)
 
 
-def system_check(A, B, C, D, spec: RingSpec | None = None) -> SystemResiduals:
-    """Evaluate the coefficient system at (A, B, C, D)."""
-    if spec is None:
-        for v in (A, B, C, D):
-            if isinstance(v, RingElement):
-                spec = v.spec
-                break
-        else:
-            raise TypeError("pass a spec or at least one ring element")
+def system_check(A, B, C, D, spec: RingSpec) -> SystemResiduals:
+    """Evaluate the coefficient system at (A, B, C, D) over spec."""
     A, B, C, D = (spec.element(v) for v in (A, B, C, D))
     return SystemResiduals((3*A*A, 3*D*(B+1), A*(2*B+C), B*B+B*C+C+A*D))
 
@@ -162,20 +157,24 @@ def classify(p: MultiPoly) -> ClassificationResult:
     _require_xy(p)
     spec = p.spec
     if p.deg_in("x") <= 1 and p.deg_in("y") <= 1:
-        abcd = tuple(p.coeff(m) for m in _ABCD_MONOMIALS)
-        # P solves J1 exactly when the system holds, and then it is the
-        # image of a listed family's parameters; walking the row backwards
+        named = {name: p.coeff(m) for name, m in _ABCD.items()}
+        abcd = tuple(named.values())
+        # P solves J1 exactly when make_family accepts it as the image of a
+        # listed family's parameters.  Every family tests the same system,
+        # so the first one of P's shape decides; walking the row backwards
         # names a member that two families share after the later one.
-        if system_check(*abcd, spec=spec).all_zero:
-            named = dict(zip("ABCD", abcd))
-            for listed in reversed(_families(spec.characteristic)):
-                params = [named[name] for name in listed.__match_args__]
-                if listed.image(*params, spec.zero()) == abcd:
-                    family = listed(*params)
-                    if make_family(family, spec) != p:
-                        raise AlgebraError(
-                            f"internal: {family} does not rebuild {p}")
-                    return ClassificationResult(family=family, witness=None)
+        for listed in reversed(_families(spec.characteristic)):
+            params = [named[name] for name in listed.__match_args__]
+            if listed.image(*params, spec.zero()) == abcd:
+                family = listed(*params)
+                try:
+                    member = make_family(family, spec)
+                except ConditionViolated:
+                    break
+                if member != p:
+                    raise AlgebraError(
+                        f"internal: {family} does not rebuild {p}")
+                return ClassificationResult(family=family, witness=None)
     lt = defect(p, EquationForm.J1).least_term()
     if lt is None:
         raise AlgebraError(
@@ -204,5 +203,5 @@ def constant_solutions(spec: RingSpec) -> ConstantSolutionRule:
     3*D*(B+1) = 3*D is left, so D = 1 solves it exactly when every D does."""
     return ConstantSolutionRule(
         characteristic=spec.characteristic,
-        every_constant=system_check(0, 0, 0, 1, spec=spec).all_zero,
+        every_constant=system_check(0, 0, 0, 1, spec).all_zero,
     )

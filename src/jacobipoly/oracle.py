@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .classify import _families, classify, make_family
+from .classify import _ABCD, _families, classify, make_family
 from .errors import BudgetExceeded, ConditionViolated, UnsupportedSpec
 from .jacobi import EquationForm, defect, generic_defect, swap
 from .poly import MultiPoly, _grade
@@ -69,7 +69,10 @@ class EnumSpace:
                     "a positive coeff_bound is required over the integers")
         elif self.coeff_bound is not None:
             raise ValueError("coeff_bound only applies to the integers")
-        n, positions = self._value_count(), (self.max_deg_per_var + 1) ** 2
+        # not len(): it raises OverflowError past sys.maxsize values
+        values = self.coefficient_values
+        n = values.stop - values.start
+        positions = (self.max_deg_per_var + 1) ** 2
         # every space has n >= 2 values, so the count passes any budget
         # within log2(budget) + 1 factors; the full power is never formed
         count = 1
@@ -100,16 +103,10 @@ class EnumSpace:
             return range(-b, b + 1)
         return range(self.spec.p)
 
-    def _value_count(self) -> int:
-        """The number of coefficient values: len() of a range longer than
-        sys.maxsize raises OverflowError, which the CLI does not catch."""
-        if self.spec.kind == INTEGERS:
-            return 2 * self.coeff_bound + 1
-        return self.spec.p
-
     @property
     def candidate_count(self) -> int:
-        return self._value_count() ** (self.max_deg_per_var + 1) ** 2
+        values = self.coefficient_values  # not len(): see __post_init__
+        return (values.stop - values.start) ** (self.max_deg_per_var + 1) ** 2
 
     def _poly(self, combo) -> MultiPoly:
         return MultiPoly._from_raw(
@@ -152,10 +149,9 @@ def family_members(space: EnumSpace) -> frozenset[MultiPoly]:
     spec, k = space.spec, space.max_deg_per_var
     out = set()
     for family in _families(spec.characteristic):
-        # members have degree <= 1 per variable, so only a degree-0 space
-        # cuts them: there every parameter but D, the constant term, is 0
-        # (parameters are named after the coefficients they set)
-        ranges = [space.coefficient_values if k or name == "D" else (0,)
+        # a parameter sets the coefficient its name stands for, which is 0
+        # where that monomial is past the degree cap
+        ranges = [space.coefficient_values if max(_ABCD[name]) <= k else (0,)
                   for name in family.__match_args__]
         for params in itertools.product(*ranges):
             try:

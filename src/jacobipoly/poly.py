@@ -55,7 +55,10 @@ _MAX_POWER_SIZE = 1024
 # takes three Python frames, so the cap stays far below the recursion limit.
 _MAX_NESTING = 100
 
-_DIGITS = re.compile(r"[0-9]+")
+# One token per match; the group that matched names its kind.
+_TOKEN = re.compile(
+    rf"(?P<space>\s+)|(?P<int>[0-9]+)|(?P<name>{_IDENT.pattern})"
+    r"|(?P<punct>[-+*^()])|(?P<other>.)", re.DOTALL)
 
 
 def _grade(exps: tuple[int, ...]):
@@ -558,25 +561,19 @@ class _Parser:
 def _tokenize(text: str):
     """(kind, value, position) triples; an "int" token's value is its int."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif m := _DIGITS.match(text, i):
+    for m in _TOKEN.finditer(text):
+        kind, tok, i = m.lastgroup, m.group(), m.start()
+        if kind == "int":
             try:
-                toks.append(("int", int(m.group()), i))
+                toks.append(("int", int(tok), i))
             except ValueError:  # past the interpreter's text-to-int limit
-                raise ParseError(f"integer literal of {m.end() - i} digits "
+                raise ParseError(f"integer literal of {len(tok)} digits "
                                  "is too long", i) from None
-            i = m.end()
-        elif m := _IDENT.match(text, i):
-            toks.append(("name", m.group(), i))
-            i = m.end()
-        elif ch in "+-*^()":
-            toks.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
+        elif kind == "name":
+            toks.append(("name", tok, i))
+        elif kind == "punct":
+            toks.append((tok, tok, i))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {tok!r}", i)
+    toks.append(("end", "", len(text)))
     return toks

@@ -144,13 +144,8 @@ def test_coefficient_system_is_the_generic_j1_defect(rng):
         for _ in range(60):
             point = [random_element(spec, rng) for _ in abcd]
             values = dict(zip(abcd, point))
-            assert system_check(*point).residuals == tuple(
+            assert system_check(*point, spec=spec).residuals == tuple(
                 r.evaluate(values) for r in residuals)
-
-
-def test_system_check_infers_spec_from_elements():
-    assert system_check(F3.element(1), F3.zero(), F3.zero(), F3.element(2)).all_zero is False
-    assert system_check(F3.element(1), F3.zero(), 0, 0).all_zero
 
 
 def test_classify_linear_over_integers():
@@ -319,4 +314,11 @@ def test_classify_rejects_a_family_that_does_not_rebuild(monkeypatch):
     monkeypatch.setattr(module, "make_family",
                         lambda params, spec: MultiPoly.zero(spec, XY))
     with pytest.raises(AlgebraError, match="does not rebuild"):
+        classify(MultiPoly.parse("-2*x + 4*y", Z))
+
+
+def test_classify_rejects_a_solution_no_family_contains(monkeypatch):
+    module = importlib.import_module("jacobipoly.classify")
+    monkeypatch.setattr(module, "_families", lambda characteristic: ())
+    with pytest.raises(AlgebraError, match="no listed family contains"):
         classify(MultiPoly.parse("-2*x + 4*y", Z))

@@ -96,6 +96,12 @@ def test_enumerate_refuses_a_huge_space_at_once(capsys):
     assert run(["enumerate", "--ring", "zp:3", "--max-deg", "100"]) == 2
     assert "budget" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 1.0
+    # a degree cap past the int-to-text limit is named by its bit length
+    t0 = time.perf_counter()
+    assert run(["enumerate", "--ring", "zp:3", "--max-deg",
+                "1" + "0" * 4000]) == 2
+    assert "-bit number" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_enumerate_missing_bound(capsys):

@@ -197,6 +197,7 @@ def test_print_order_is_graded_lex_descending():
 def test_constructor_and_helpers():
     p = MultiPoly(Z, XY, {(1, 0): -2, Monomial((0, 1)): 4})
     assert p == MultiPoly.parse("-2*x + 4*y", Z)
+    assert repr(p) == "<-2*x + 4*y over int in x/y>"
     assert MultiPoly.zero(F3, XY).is_zero
     assert MultiPoly.constant(F3, XY, 5) == MultiPoly.parse("2", F3)
     assert MultiPoly.variable(Z, XYZ, "z") == MultiPoly.parse("z", Z, XYZ)
@@ -205,6 +206,8 @@ def test_constructor_and_helpers():
 
 
 def test_constructor_validation():
+    with pytest.raises(TypeError):
+        MultiPoly("int", XY, {})
     with pytest.raises(VarListMismatch):
         MultiPoly(Z, ("x", "x"), {})
     with pytest.raises(VarListMismatch):
@@ -245,10 +248,16 @@ def test_scalar_mixing():
     p = MultiPoly.parse("x + y", Z)
     assert 2 * p == MultiPoly.parse("2*x + 2*y", Z)
     assert p + 1 == MultiPoly.parse("x + y + 1", Z)
+    assert p + 0 == p
     assert 1 - p == MultiPoly.parse("1 - x - y", Z)
     t = E3.generator()
     q = MultiPoly.parse("x", E3)
     assert t * q == MultiPoly.parse("(t)*x", E3)
+    # other operands fall back to NotImplemented
+    for op in (lambda p: p + "x", lambda p: p - "x", lambda p: p * "x"):
+        with pytest.raises(TypeError):
+            op(p)
+    assert p != "x + y"
 
 
 def test_cross_spec_arithmetic_rejected():
@@ -347,6 +356,8 @@ def test_substitute_validation():
     x3 = MultiPoly.parse("x", Z, XYZ)
     with pytest.raises(UnknownVariable):
         p.substitute({"q": x3})
+    with pytest.raises(TypeError):
+        p.substitute({"x": 1})
     with pytest.raises(SpecMismatch):
         p.substitute({"x": MultiPoly.parse("x", F3, XYZ)})
     with pytest.raises(VarListMismatch):

@@ -23,6 +23,7 @@ ALL_SPECS = (Z, F2, F3, F5, E3, E5)
 def test_parse_round_trip():
     for text in ("int", "zp:3", "zp:5", "zp:3[t]", "zp:7[alpha]"):
         assert str(RingSpec.parse(text)) == text
+        assert repr(RingSpec.parse(text)) == f"RingSpec({text!r})"
 
 
 def test_parse_rejects_garbage():
@@ -102,6 +103,7 @@ def test_extension_examples():
     assert E3.element([1, 2]) + E3.element([2, 1]) == E3.zero()
     assert (1 + t) * (1 - t) == E3.element([1, 0, 2])
     assert str((1 + t) * (1 - t)) == "1+2*t^2"
+    assert str(E3.zero()) == "0"
     assert E3.element(4) == E3.one()
 
 
@@ -169,6 +171,8 @@ def test_powers(rng):
             assert a**0 == spec.one()
             assert a**1 == a
             assert a**4 == a * a * a * a
+    with pytest.raises(ValueError):
+        F3.element(2) ** -1
 
 
 def test_spec_mismatch():
@@ -186,6 +190,11 @@ def test_int_coercion_in_operators():
     assert F3.element(1) + 5 == F3.zero()
     assert 2 * Z.element(3) == Z.element(6)
     assert 1 - F5.element(2) == F5.element(4)
+    # other operands fall back to NotImplemented
+    for op in (lambda e: e + 1.5, lambda e: e - 1.5, lambda e: e * 1.5):
+        with pytest.raises(TypeError):
+            op(F3.element(1))
+    assert F3.element(1) != "a"
 
 
 def test_element_construction():
@@ -205,6 +214,8 @@ def test_element_construction():
     # an element enters its own ring as itself, and no other ring
     assert E3.element(E3.element([1, 2])).value == (1, 2)
     assert F3.element(F3.element(4)) == F3.element(1)
+    assert hash(F3.element(4)) == hash(F3.element(1))
+    assert F3.element(1) and not F3.element(3)
     for spec, other in ((F3, F5), (E3, F3), (E3, E5), (Z, F2)):
         with pytest.raises(SpecMismatch):
             spec.element(other.one())
