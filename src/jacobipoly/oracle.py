@@ -25,8 +25,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .classify import _ABCD, _families, classify, make_family
-from .errors import BudgetExceeded, ConditionViolated, UnsupportedSpec
+from .classify import _ABCD, _families, classify, make_family, system_check
+from .errors import BudgetExceeded, UnsupportedSpec
 from .jacobi import EquationForm, defect, generic_defect, swap
 from .poly import MultiPoly, _grade
 from .rings import EXTENSION, INTEGERS, RingSpec
@@ -145,20 +145,54 @@ class EnumReport:
 
 
 def family_members(space: EnumSpace) -> frozenset[MultiPoly]:
-    """Every family member whose coefficients lie in the space."""
+    """Every family member whose coefficients lie in the space.
+
+    Each family's parameters but the last are walked and the last one is
+    solved from the coefficient system, so a family of n parameters over
+    the values V costs at most 2*|V|^(n-1) system checks, not |V|^n."""
     spec, k = space.spec, space.max_deg_per_var
     out = set()
     for family in _families(spec.characteristic):
         # a parameter sets the coefficient its name stands for, which is 0
         # where that monomial is past the degree cap
-        ranges = [space.coefficient_values if max(_ABCD[name]) <= k else (0,)
-                  for name in family.__match_args__]
-        for params in itertools.product(*ranges):
-            try:
-                out.add(make_family(family(*params), spec))
-            except ConditionViolated:
-                pass
+        *heads, last = [
+            space.coefficient_values if max(_ABCD[name]) <= k else (0,)
+            for name in family.__match_args__]
+        for head in itertools.product(*heads):
+            for t in _solve_last(family, head, last, spec):
+                out.add(make_family(family(*head, t), spec))
     return frozenset(out)
+
+
+def _solve_last(family, head, values, spec: RingSpec):
+    """The t among `values` at which every residual of family(*head, t)
+    is zero.
+
+    Every residual of `system_check` is affine in each family's last
+    parameter, R(t) = R(0) + t*(R(1) - R(0)), so each one is an equation
+    a*t = -r over the integers or F_p."""
+    zero, p = spec.zero(), spec.characteristic
+    at = [system_check(*family.image(*head, t, zero), spec).residuals
+          for t in (0, 1)]
+    solved = None
+    for r0, r1 in zip(*at):
+        a, r = (r1 - r0).value, r0.value
+        if not a:
+            if r:
+                return ()
+            continue
+        if p:
+            t = -r * pow(a, -1, p) % p
+        else:
+            t, rest = divmod(-r, a)
+            if rest:
+                return ()
+        if solved is not None and t != solved:
+            return ()
+        solved = t
+    if solved is None:
+        return values
+    return (solved,) if solved in values else ()
 
 
 def predicted_solutions(space: EnumSpace, form: EquationForm) -> frozenset[MultiPoly]:
