@@ -66,6 +66,9 @@ _XYZ = ("x", "y", "z")
 # Xeon.
 _MAX_DEFECT_WORK = 150_000
 
+# Bits per c_n in a monomial of `generic_defect`.
+_EXP_BITS = 4
+
 
 def _require_xy(p: MultiPoly) -> None:
     if p.vars != ("x", "y"):
@@ -136,18 +139,26 @@ def generic_defect(monomials, form: EquationForm, p: int) -> dict:
     monomials[n], as its nonzero coefficients, keyed by (x, y, z) exponent
     triples.
 
-    A coefficient is a list of (int, index tuple) terms, a polynomial in the
-    c_n: (3, (0, 0, 2)) is 3*c_0^2*c_2.  Integers are reduced mod p as they
-    are expanded (not at all for p = 0), so the result holds in every ring
-    of characteristic p.
+    A coefficient is a list of (int, monomial) terms, a polynomial in the
+    c_n.  A monomial is a packed exponent vector, an int whose bits 4n to
+    4n + 3 hold the exponent of c_n (`_EXP_BITS` = 4), so the product of
+    two monomials is their sum: (3, 0x201) is 3*c_0*c_2^2.  Integers are
+    reduced mod p as they are expanded (not at all for p = 0), so the
+    result holds in every ring of characteristic p.
     """
-    # a polynomial in the c_n is a dict {sorted index tuple: int}
+    # a c_n of P(P(u,v), w) or P(u, P(v,w)) comes from P once and from a
+    # power of P up to the degree cap
+    top = 1 + max(map(max, monomials), default=0)
+    if top >= 1 << _EXP_BITS:
+        raise BudgetExceeded(f"a degree cap of {top - 1} gives exponents past "
+                             f"the {_EXP_BITS}-bit field of a monomial")
+
+    # a polynomial in the c_n is a dict {monomial: int}
     def mul(f: dict, g: dict) -> dict:
         out: dict = {}
         for m, v in f.items():
             for n, w in g.items():
-                key = tuple(sorted(m + n))
-                out[key] = out.get(key, 0) + v * w
+                out[m + n] = out.get(m + n, 0) + v * w
         return out
 
     def add(out: dict, key, f: dict) -> None:
@@ -161,9 +172,10 @@ def generic_defect(monomials, form: EquationForm, p: int) -> dict:
         if not into:
             del out[key]
 
-    terms = {mono: {(n,): 1} for n, mono in enumerate(monomials)}
-    acc = _compose(form, terms, {(): 1}, mul,
-                   functools.partial(mul, {(): -1}), add)
+    terms = {mono: {1 << _EXP_BITS * n: 1}
+             for n, mono in enumerate(monomials)}
+    acc = _compose(form, terms, {0: 1}, mul, functools.partial(mul, {0: -1}),
+                   add)
     return {e: [(v, m) for m, v in f.items()] for e, f in acc.items()}
 
 

@@ -9,11 +9,13 @@ so identical spaces always produce identical reports.
 
 A scan is a depth-first search over the odometer positions, in that
 order.  Each (x, y, z) coefficient of the form's generic defect is an
-integer polynomial in the coefficients c_n of P (`generic_defect`).  Once
-a prefix of the c_n is set, such a polynomial may be decided: every term
-that has an unset c_n also has a set c_n equal to 0.  A decided polynomial
-that is nonzero in the ring rules out every candidate with that prefix, so
-the search skips the whole subtree (splitting with propagation; Davis,
+integer polynomial in the coefficients c_n of P (`generic_defect`).  The
+search keeps each one reduced by the c_n set so far and filed under its
+least unset c_n, so setting c_k = v rewrites, once, only the polynomials
+filed under c_k, and files each result under its next unset c_n.  A
+polynomial with no unset c_n left is decided, and a nonzero one rules out
+every candidate with that prefix: the search skips the whole subtree and
+undoes the rewrites on its way back (splitting with propagation; Davis,
 Logemann and Loveland 1962).  A leaf of the search is a candidate at which
 every coefficient is zero, and each one still goes through the formal
 `defect`, so the search only ever rejects candidates.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from .classify import _ABCD, _families, classify, make_family, system_check
 from .errors import BudgetExceeded, UnsupportedSpec
-from .jacobi import EquationForm, defect, generic_defect, swap
+from .jacobi import _EXP_BITS, EquationForm, defect, generic_defect, swap
 from .poly import MultiPoly, _grade
 from .rings import EXTENSION, INTEGERS, RingSpec
 
@@ -129,6 +131,8 @@ class EnumReport:
     max_solution_degrees: tuple[int, int]
     # candidates that the search let through to the formal defect
     checked: int
+    # values the search tried at a position, pruned or not
+    nodes: int
 
     def to_dict(self) -> dict:
         return {
@@ -141,6 +145,7 @@ class EnumReport:
             "agreement": self.agreement,
             "max_solution_degrees": list(self.max_solution_degrees),
             "formally_checked": self.checked,
+            "search_nodes": self.nodes,
         }
 
 
@@ -211,9 +216,9 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
     For J1 the agreement flag additionally requires every found solution
     to classify as a family member.
     """
-    solutions, checked = [], 0
-    for combo in _search(space, form):
-        checked += 1
+    leaves, nodes = _search(space, form)
+    solutions = []
+    for combo in leaves:
         p = space._poly(combo)
         if not defect(p, form):
             solutions.append(p)
@@ -228,46 +233,84 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
         solutions=tuple(solutions),
         agreement=agreement,
         max_solution_degrees=(dx, dy),
-        checked=checked,
+        checked=len(leaves),
+        nodes=nodes,
     )
 
 
 def _search(space: EnumSpace, form: EquationForm):
     """The raw coefficient tuples of the space at which every coefficient
-    of the generic defect is zero in the ring, in odometer order."""
+    of the generic defect is zero in the ring, in odometer order, and the
+    number of nodes visited: the values tried at each position, pruned or
+    not."""
     p = space.spec.characteristic
     values = space.coefficient_values
     n = len(space.monomials)
-    # per position, the coefficient polynomials that contain its c_n: only
-    # setting one of its c_n can decide a polynomial
-    watch = [[] for _ in range(n)]
-    for poly in generic_defect(space.monomials, form, p).values():
-        for k in {i for _, mono in poly for i in mono}:
-            watch[k].append(poly)
+    field = (1 << _EXP_BITS) - 1
+    # bucket k holds (mask, terms) for each polynomial whose least unset c_n
+    # is c_k, reduced by c_0, ..., c_(k-1); mask is the OR of its monomials.
+    # filed logs the bucket of every filing, so a node can undo its own
+    buckets = [[] for _ in range(n)]
+    filed: list[int] = []
+
+    def file(terms) -> bool:
+        """File a reduced polynomial; False when it is a nonzero constant."""
+        mask = 0
+        for _, m in terms:
+            mask |= m
+        if not mask:  # a constant, nonzero unless no term is left
+            return not terms
+        k = ((mask & -mask).bit_length() - 1) // _EXP_BITS
+        buckets[k].append((mask, terms))
+        filed.append(k)
+        return True
+
+    for terms in generic_defect(space.monomials, form, p).values():
+        file(terms)  # every term has a c_n, so none is a constant
     combo = [0] * n
+    leaves = []
+    nodes = 0
 
-    def nonzero(poly, k: int) -> bool:
-        """Whether poly is decided nonzero with c_0, ..., c_k set."""
-        total = 0
-        for v, mono in poly:
-            for i in mono:  # the set c_n come first
-                if i > k:
-                    if v:
-                        return False  # a live term with an unset c_n
-                    break
-                v *= combo[i]
-            else:
-                total += v
-        return bool(total % p if p else total)
-
-    def descend(k: int):
-        for c in values:
-            combo[k] = c
-            if any(nonzero(poly, k) for poly in watch[k]):
+    def descend(k: int) -> None:
+        nonlocal nodes
+        s = k * _EXP_BITS
+        top = 1 << s + _EXP_BITS
+        # a polynomial in c_k alone is decided by the value of c_k, so these
+        # are read before anything is rewritten
+        closing = [[(c, m >> s) for c, m in terms]
+                   for mask, terms in buckets[k] if mask < top]
+        rest = [terms for mask, terms in buckets[k] if mask >= top]
+        for v in values:
+            nodes += 1
+            if any(sum(c * v ** e for c, e in poly) % p if p
+                   else sum(c * v ** e for c, e in poly) for poly in closing):
                 continue
-            if k + 1 < n:
-                yield from descend(k + 1)
+            combo[k] = v
+            mark = len(filed)
+            for terms in rest:
+                if v:
+                    out: dict = {}
+                    for c, m in terms:
+                        e = m >> s & field
+                        if e:
+                            c *= v ** e
+                            m ^= e << s
+                        out[m] = out.get(m, 0) + c
+                    if p:
+                        terms = [(c % p, m) for m, c in out.items() if c % p]
+                    else:
+                        terms = [(c, m) for m, c in out.items() if c]
+                else:
+                    terms = [t for t in terms if not t[1] >> s & field]
+                if not file(terms):
+                    break
             else:
-                yield tuple(combo)
+                if k + 1 < n:
+                    descend(k + 1)
+                else:
+                    leaves.append(tuple(combo))
+            while len(filed) > mark:
+                buckets[filed.pop()].pop()
 
-    return descend(0)
+    descend(0)
+    return leaves, nodes

@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from jacobipoly import (EnumSpace, EquationForm, RingSpec,
+                        enumerate_solutions)
 from jacobipoly.cli import run
 
 GOLDEN = ("(1+2*t^2)*x*y + (1+t+2*t^2+2*t^3)*x + (1+t+2*t^2+2*t^3)*y"
@@ -355,3 +357,7 @@ def test_enumerate_json_counts_formal_checks(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["candidates"] == 81 and len(payload["solutions"]) == 12
     assert payload["formally_checked"] == 12
+    # the search's node count is the library's
+    rep = enumerate_solutions(EnumSpace(RingSpec.parse("zp:3"), 1),
+                              EquationForm.J1)
+    assert payload["search_nodes"] == rep.nodes >= 12

@@ -248,10 +248,23 @@ def test_generic_defect_is_the_defect(rng):
                         total = spec.zero()
                         for k, mono in terms:
                             t = spec.element(k)
-                            for n in mono:
-                                t = t * c[n]
+                            for n in range(len(monomials)):
+                                for _ in range(mono >> 4 * n & 15):
+                                    t = t * c[n]
                             total = total + t
                         value[e] = total
                     evaluated = MultiPoly(spec, XYZ, value)
                     assert evaluated == defect(p, form)
                     assert evaluated == naive_defect(p, form)
+
+
+def test_generic_defect_exponents_fit_their_field():
+    # a c_n has exponent up to 1 + the degree cap, and each has the 4 bits
+    # n*4 to n*4 + 3 of a packed monomial.  P = c_0*x^14 + c_1*y gives
+    # c_0^15, the largest exponent that fits; a degree of 15 is refused
+    # before anything is expanded.  Two terms keep both expansions small.
+    generic = jacobi.generic_defect([(14, 0), (0, 1)], EquationForm.J1, 0)
+    assert max(m & 15 for terms in generic.values() for _, m in terms) == 15
+    assert all(m >> 8 == 0 for terms in generic.values() for _, m in terms)
+    with pytest.raises(BudgetExceeded, match="4-bit"):
+        jacobi.generic_defect([(15, 0), (0, 1)], EquationForm.J1, 0)

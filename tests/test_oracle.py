@@ -312,6 +312,36 @@ def test_perfbench_scans_check_only_their_solutions():
         assert rep.checked == len(rep.solutions) == checked
 
 
+def test_search_counts_its_nodes():
+    # a node is a value tried at a position, so every leaf is one and the
+    # first position's values always are.  The counts are deterministic,
+    # and they rest on rewrites merging like terms mod p, which can decide
+    # a coefficient before any of its set c_n is 0
+    for space, form, nodes in (
+            (EnumSpace(F3, 2), EquationForm.J1, 99),
+            (EnumSpace(F3, 2), EquationForm.J5, 39),
+            (EnumSpace(Z, 1, 6), EquationForm.J1, 208),
+            (EnumSpace(Z, 1, 6), EquationForm.J2, 221),
+            (EnumSpace(F5, 1), EquationForm.J1, 50),
+            (EnumSpace(RingSpec.prime_field(7), 1), EquationForm.J1, 98)):
+        rep = enumerate_solutions(space, form)
+        assert rep.nodes == enumerate_solutions(space, form).nodes == nodes
+        assert rep.checked <= rep.nodes
+        assert len(space.coefficient_values) <= rep.nodes
+        assert rep.to_dict()["search_nodes"] == rep.nodes
+
+
+def test_degree_four_scans_agree_with_the_families():
+    # 2^25 candidates, within the default budget: the search at the degree
+    # cap, whose generic defect has exponents up to 5
+    space = EnumSpace(F2, 4)
+    for form in EquationForm:
+        rep = enumerate_solutions(space, form)
+        assert rep.agreement
+        assert set(rep.solutions) == predicted_solutions(space, form)
+        assert rep.checked == len(rep.solutions) < rep.nodes
+
+
 def test_scan_memory_is_flat():
     # 65 536 candidates: neither the odometer nor a list of candidates per
     # prefix is held in memory
