@@ -20,6 +20,7 @@ from .classify import (
     SystemResiduals,
     classify,
     constant_solutions,
+    family_members,
     make_family,
     system_check,
 )
@@ -43,7 +44,6 @@ from .oracle import (
     EnumReport,
     EnumSpace,
     enumerate_solutions,
-    family_members,
     predicted_solutions,
 )
 from .poly import Monomial, MultiPoly

@@ -15,6 +15,7 @@ overlap (A = 0 with C = B) is reported as the affine family.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -134,6 +135,57 @@ def system_check(A, B, C, D, spec: RingSpec) -> SystemResiduals:
     """Evaluate the coefficient system at (A, B, C, D) over spec."""
     A, B, C, D = (spec.element(v) for v in (A, B, C, D))
     return SystemResiduals((3*A*A, 3*D*(B+1), A*(2*B+C), B*B+B*C+C+A*D))
+
+
+def family_members(space) -> frozenset[MultiPoly]:
+    """Every family member whose coefficients lie in the `EnumSpace`.
+
+    Each family's parameters but the last are walked and the last one is
+    solved from the coefficient system, so a family of n parameters over
+    the values V costs at most 2*|V|^(n-1) system checks, not |V|^n."""
+    spec, k = space.spec, space.max_deg_per_var
+    out = set()
+    for family in _families(spec.characteristic):
+        # a parameter sets the coefficient its name stands for, which is 0
+        # where that monomial is past the degree cap
+        *heads, last = [
+            space.coefficient_values if max(_ABCD[name]) <= k else (0,)
+            for name in family.__match_args__]
+        for head in itertools.product(*heads):
+            for t in _solve_last(family, head, last, spec):
+                out.add(make_family(family(*head, t), spec))
+    return frozenset(out)
+
+
+def _solve_last(family, head, values, spec: RingSpec):
+    """The t among `values` at which every residual of family(*head, t)
+    is zero.
+
+    Every residual of `system_check` is affine in each family's last
+    parameter, R(t) = R(0) + t*(R(1) - R(0)), so each one is an equation
+    a*t = -r over the integers or F_p."""
+    zero, p = spec.zero(), spec.characteristic
+    at = [system_check(*family.image(*head, t, zero), spec).residuals
+          for t in (0, 1)]
+    solved = None
+    for r0, r1 in zip(*at):
+        a, r = (r1 - r0).value, r0.value
+        if not a:
+            if r:
+                return ()
+            continue
+        if p:
+            t = -r * pow(a, -1, p) % p
+        else:
+            t, rest = divmod(-r, a)
+            if rest:
+                return ()
+        if solved is not None and t != solved:
+            return ()
+        solved = t
+    if solved is None:
+        return values
+    return (solved,) if solved in values else ()
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Usage sketch:
   jacobipoly families  --ring zp:3
 
 Exit codes: 0 success / identity holds, 1 identity violated (or the
-enumeration disagrees with the predicted set), 2 usage or parse errors.
+enumeration disagrees with the predicted set), 2 usage, parse or output errors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -210,4 +211,11 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    raise SystemExit(run(argv))
+    try:
+        status = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `head` does
+        # what is left goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    raise SystemExit(status)

@@ -16,12 +16,9 @@ P satisfies a form when its defect is the zero polynomial, as a formal
 identity on coefficients: finite fields conflate distinct polynomials as
 functions, so no evaluation at points can accept one.
 
-`defect` and `generic_defect` run one expansion, `_compose`, over two
-coefficient rings: P's own, and the integer polynomials (mod p) in the
-coefficients c_n of the generic P, which are indeterminates.  Putting P's
-coefficients in for the c_n reads off the defect of any P over a ring of
-characteristic p.  The exhaustive scan prunes with the generic defect and
-confirms each candidate it keeps with `defect`.
+The one expansion of the compositions, `_compose`, takes any coefficient
+ring: `defect` runs it over P's own, and the exhaustive scan over the
+integer polynomials (mod p) in the coefficients of a generic P.
 """
 
 from __future__ import annotations
@@ -65,9 +62,6 @@ _XYZ = ("x", "y", "z")
 # 4, the slowest accepted shapes measured take about 0.35 s on a 2.1 GHz
 # Xeon.
 _MAX_DEFECT_WORK = 150_000
-
-# Bits per c_n in a monomial of `generic_defect`.
-_EXP_BITS = 4
 
 
 def _require_xy(p: MultiPoly) -> None:
@@ -132,51 +126,6 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
     acc = _compose(form, terms, spec._rone, spec._rmul, spec._rneg,
                    functools.partial(_accumulate, spec))
     return MultiPoly._from_raw(spec, _XYZ, acc)
-
-
-def generic_defect(monomials, form: EquationForm, p: int) -> dict:
-    """The defect of the generic P = sum of c_n x^i y^j, (i, j) =
-    monomials[n], as its nonzero coefficients, keyed by (x, y, z) exponent
-    triples.
-
-    A coefficient is a list of (int, monomial) terms, a polynomial in the
-    c_n.  A monomial is a packed exponent vector, an int whose bits 4n to
-    4n + 3 hold the exponent of c_n (`_EXP_BITS` = 4), so the product of
-    two monomials is their sum: (3, 0x201) is 3*c_0*c_2^2.  Integers are
-    reduced mod p as they are expanded (not at all for p = 0), so the
-    result holds in every ring of characteristic p.
-    """
-    # a c_n of P(P(u,v), w) or P(u, P(v,w)) comes from P once and from a
-    # power of P up to the degree cap
-    top = 1 + max(map(max, monomials), default=0)
-    if top >= 1 << _EXP_BITS:
-        raise BudgetExceeded(f"a degree cap of {top - 1} gives exponents past "
-                             f"the {_EXP_BITS}-bit field of a monomial")
-
-    # a polynomial in the c_n is a dict {monomial: int}
-    def mul(f: dict, g: dict) -> dict:
-        out: dict = {}
-        for m, v in f.items():
-            for n, w in g.items():
-                out[m + n] = out.get(m + n, 0) + v * w
-        return out
-
-    def add(out: dict, key, f: dict) -> None:
-        into = out.setdefault(key, {})
-        for m, v in f.items():
-            v += into.get(m, 0)
-            if v := v % p if p else v:
-                into[m] = v
-            else:
-                into.pop(m, None)
-        if not into:
-            del out[key]
-
-    terms = {mono: {1 << _EXP_BITS * n: 1}
-             for n, mono in enumerate(monomials)}
-    acc = _compose(form, terms, {0: 1}, mul, functools.partial(mul, {0: -1}),
-                   add)
-    return {e: [(v, m) for m, v in f.items()] for e, f in acc.items()}
 
 
 def satisfies(p: MultiPoly, form: EquationForm) -> bool:

@@ -9,7 +9,7 @@ so identical spaces always produce identical reports.
 
 A scan is a depth-first search over the odometer positions, in that
 order.  Each (x, y, z) coefficient of the form's generic defect is an
-integer polynomial in the coefficients c_n of P (`generic_defect`).  The
+integer polynomial in the coefficients c_n of P (`_generic_defect`).  The
 search keeps each one reduced by the c_n set so far and filed under its
 least unset c_n, so setting c_k = v rewrites, once, only the polynomials
 filed under c_k, and files each result under its next unset c_n.  A
@@ -27,9 +27,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .classify import _ABCD, _families, classify, make_family, system_check
+from .classify import classify, family_members
 from .errors import BudgetExceeded, UnsupportedSpec
-from .jacobi import _EXP_BITS, EquationForm, defect, generic_defect, swap
+from .jacobi import EquationForm, _compose, defect, swap
 from .poly import MultiPoly, _grade
 from .rings import EXTENSION, INTEGERS, RingSpec
 
@@ -37,7 +37,10 @@ _XY = ("x", "y")
 
 # The search first expands the generic defect of the degree cap.  At degree
 # 5 that has 13.5 M terms and takes gigabytes, so larger caps are refused.
+# A c_n of P(P(u,v), w) or P(u, P(v,w)) comes from P once and from a power
+# of P up to the cap, so an exponent in `_generic_defect` is at most cap + 1.
 _MAX_SCAN_DEGREE = 4
+_EXP_BITS = (_MAX_SCAN_DEGREE + 1).bit_length()
 
 
 def _int_text(n) -> str:
@@ -149,57 +152,6 @@ class EnumReport:
         }
 
 
-def family_members(space: EnumSpace) -> frozenset[MultiPoly]:
-    """Every family member whose coefficients lie in the space.
-
-    Each family's parameters but the last are walked and the last one is
-    solved from the coefficient system, so a family of n parameters over
-    the values V costs at most 2*|V|^(n-1) system checks, not |V|^n."""
-    spec, k = space.spec, space.max_deg_per_var
-    out = set()
-    for family in _families(spec.characteristic):
-        # a parameter sets the coefficient its name stands for, which is 0
-        # where that monomial is past the degree cap
-        *heads, last = [
-            space.coefficient_values if max(_ABCD[name]) <= k else (0,)
-            for name in family.__match_args__]
-        for head in itertools.product(*heads):
-            for t in _solve_last(family, head, last, spec):
-                out.add(make_family(family(*head, t), spec))
-    return frozenset(out)
-
-
-def _solve_last(family, head, values, spec: RingSpec):
-    """The t among `values` at which every residual of family(*head, t)
-    is zero.
-
-    Every residual of `system_check` is affine in each family's last
-    parameter, R(t) = R(0) + t*(R(1) - R(0)), so each one is an equation
-    a*t = -r over the integers or F_p."""
-    zero, p = spec.zero(), spec.characteristic
-    at = [system_check(*family.image(*head, t, zero), spec).residuals
-          for t in (0, 1)]
-    solved = None
-    for r0, r1 in zip(*at):
-        a, r = (r1 - r0).value, r0.value
-        if not a:
-            if r:
-                return ()
-            continue
-        if p:
-            t = -r * pow(a, -1, p) % p
-        else:
-            t, rest = divmod(-r, a)
-            if rest:
-                return ()
-        if solved is not None and t != solved:
-            return ()
-        solved = t
-    if solved is None:
-        return values
-    return (solved,) if solved in values else ()
-
-
 def predicted_solutions(space: EnumSpace, form: EquationForm) -> frozenset[MultiPoly]:
     """The solution set the classification implies for the space: the
     families for J1, their swap image for J2, and {0} for J5 and J6."""
@@ -238,6 +190,44 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
     )
 
 
+def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
+    """The defect of the generic P = sum of c_n x^i y^j, (i, j) =
+    monomials[n] within the degree cap, as its nonzero coefficients, keyed
+    by (x, y, z) exponent triples.
+
+    A coefficient is a list of (int, monomial) terms, a polynomial in the
+    c_n.  A monomial holds the exponent of c_n in its bits from n*_EXP_BITS
+    up, so the product of two monomials is their sum: (3, 1 | 2 << 2 *
+    _EXP_BITS) is 3*c_0*c_2^2.  Integers are reduced mod p as they are
+    expanded (not at all for p = 0), so the result holds in every ring of
+    characteristic p.
+    """
+    # a polynomial in the c_n is a dict {monomial: int}
+    def mul(f: dict, g: dict) -> dict:
+        out: dict = {}
+        for m, v in f.items():
+            for n, w in g.items():
+                out[m + n] = out.get(m + n, 0) + v * w
+        return out
+
+    def add(out: dict, key, f: dict) -> None:
+        into = out.setdefault(key, {})
+        for m, v in f.items():
+            v += into.get(m, 0)
+            if v := v % p if p else v:
+                into[m] = v
+            else:
+                into.pop(m, None)
+        if not into:
+            del out[key]
+
+    terms = {mono: {1 << _EXP_BITS * n: 1}
+             for n, mono in enumerate(monomials)}
+    acc = _compose(form, terms, {0: 1}, mul, functools.partial(mul, {0: -1}),
+                   add)
+    return {e: [(v, m) for m, v in f.items()] for e, f in acc.items()}
+
+
 def _search(space: EnumSpace, form: EquationForm):
     """The raw coefficient tuples of the space at which every coefficient
     of the generic defect is zero in the ring, in odometer order, and the
@@ -265,7 +255,7 @@ def _search(space: EnumSpace, form: EquationForm):
         filed.append(k)
         return True
 
-    for terms in generic_defect(space.monomials, form, p).values():
+    for terms in _generic_defect(space.monomials, form, p).values():
         file(terms)  # every term has a c_n, so none is a constant
     combo = [0] * n
     leaves = []

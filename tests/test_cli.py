@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -205,6 +206,22 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "satisfied" in proc.stdout
+
+
+@pytest.mark.parametrize("output", ["json", "human"])
+def test_closed_stdout_exits_2_quietly(output):
+    # a pipe whose reader is gone before the first write, as after `head`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jacobipoly", "enumerate", "--ring", "zp:3",
+             "--max-deg", "2", "--output", output],
+            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
 
 
 FAMILIES_HUMAN = {

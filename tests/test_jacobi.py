@@ -17,6 +17,7 @@ from jacobipoly import (
     RingSpec,
     defect,
     jacobi,
+    oracle,
     satisfies,
     swap,
 )
@@ -234,12 +235,13 @@ def test_generic_defect_is_the_defect(rng):
     # the characteristic holds in every ring of it, F_p[t] included.  Both
     # defects run one expansion, so the evaluated one is also compared with
     # the substitution-only naive_defect
+    bits = oracle._EXP_BITS
     for spec in (Z, F2, F3, F5, F7, E3):
         for d in range(4):
             monomials = [(i, j) for i in range(d + 1) for j in range(d + 1)]
             for form in EquationForm:
-                generic = jacobi.generic_defect(monomials, form,
-                                                spec.characteristic)
+                generic = oracle._generic_defect(monomials, form,
+                                                 spec.characteristic)
                 for _ in range(2 if d < 3 else 1):
                     c = [random_element(spec, rng) for _ in monomials]
                     p = MultiPoly(spec, XY, dict(zip(monomials, c)))
@@ -249,7 +251,8 @@ def test_generic_defect_is_the_defect(rng):
                         for k, mono in terms:
                             t = spec.element(k)
                             for n in range(len(monomials)):
-                                for _ in range(mono >> 4 * n & 15):
+                                for _ in range(mono >> bits * n
+                                               & (1 << bits) - 1):
                                     t = t * c[n]
                             total = total + t
                         value[e] = total
@@ -259,12 +262,20 @@ def test_generic_defect_is_the_defect(rng):
 
 
 def test_generic_defect_exponents_fit_their_field():
-    # a c_n has exponent up to 1 + the degree cap, and each has the 4 bits
-    # n*4 to n*4 + 3 of a packed monomial.  P = c_0*x^14 + c_1*y gives
-    # c_0^15, the largest exponent that fits; a degree of 15 is refused
-    # before anything is expanded.  Two terms keep both expansions small.
-    generic = jacobi.generic_defect([(14, 0), (0, 1)], EquationForm.J1, 0)
-    assert max(m & 15 for terms in generic.values() for _, m in terms) == 15
-    assert all(m >> 8 == 0 for terms in generic.values() for _, m in terms)
-    with pytest.raises(BudgetExceeded, match="4-bit"):
-        jacobi.generic_defect([(15, 0), (0, 1)], EquationForm.J1, 0)
+    # a c_n has exponent up to 1 + the degree cap, and each has the field of
+    # _EXP_BITS bits from bit n*_EXP_BITS up of a packed monomial.  At the
+    # cap, P = c_0*x^cap + c_1*y gives c_0^(cap + 1), and every term of its
+    # defect is c_1 or of degree cap + 1 in the c_n, so a carry out of c_0's
+    # field would show in c_1's or past it.  Two terms keep it small
+    cap, bits = oracle._MAX_SCAN_DEGREE, oracle._EXP_BITS
+    field = (1 << bits) - 1
+    generic = oracle._generic_defect([(cap, 0), (0, 1)], EquationForm.J1, 0)
+    monos = [m for terms in generic.values() for _, m in terms]
+    assert max(m & field for m in monos) == cap + 1 <= field
+    assert all(m >> 2 * bits == 0 for m in monos)
+    assert {(m & field) + (m >> bits) for m in monos} == {1, cap + 1}
+    # read with the field width, it is the defect of 2*x^cap + 3*y
+    value = {e: sum(k * 2 ** (m & field) * 3 ** (m >> bits) for k, m in terms)
+             for e, terms in generic.items()}
+    p = MultiPoly(Z, XY, {(cap, 0): 2, (0, 1): 3})
+    assert MultiPoly(Z, XYZ, value) == defect(p, EquationForm.J1)

@@ -1,5 +1,6 @@
 """Exhaustive enumeration spaces, reports, and the family cross-checks."""
 
+import importlib
 import itertools
 import json
 import random
@@ -21,8 +22,7 @@ from jacobipoly import (
     swap,
     system_check,
 )
-from jacobipoly import oracle
-from jacobipoly.classify import _ABCD, FAMILY_TABLE, _families
+from jacobipoly.classify import _ABCD, FAMILY_TABLE, _families, _solve_last
 from jacobipoly.errors import BudgetExceeded, ConditionViolated, UnsupportedSpec
 
 Z = RingSpec.integers()
@@ -196,9 +196,9 @@ def test_solved_parameter_satisfies_every_residual():
     class Pinned:
         image = staticmethod(lambda B, C, zero: (zero, B, C, C))
 
-    assert oracle._solve_last(Pinned, (0,), range(-5, 6), Z) == (0,)
-    assert oracle._solve_last(Pinned, (-2,), range(-5, 6), Z) == ()
-    assert oracle._solve_last(Pinned, (1,), range(5), F5) == ()
+    assert _solve_last(Pinned, (0,), range(-5, 6), Z) == (0,)
+    assert _solve_last(Pinned, (-2,), range(-5, 6), Z) == ()
+    assert _solve_last(Pinned, (1,), range(5), F5) == ()
 
 
 def test_family_members_builds_only_the_solved_members(monkeypatch):
@@ -210,7 +210,8 @@ def test_family_members_builds_only_the_solved_members(monkeypatch):
         calls.append(params)
         return make_family(params, spec)
 
-    monkeypatch.setattr(oracle, "make_family", counted)
+    monkeypatch.setattr(importlib.import_module("jacobipoly.classify"),
+                        "make_family", counted)
     members = family_members(EnumSpace(Z, 1, 6))
     assert {str(p) for p in members} == {"0", "-2*x + 4*y"}
     assert len(calls) <= 13
