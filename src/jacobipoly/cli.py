@@ -89,7 +89,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = RingSpec.parse(args.ring)
-    space = EnumSpace(spec, args.max_deg, args.coeff_bound, args.budget)
+    space = EnumSpace(spec, args.max_deg, args.coeff_bound)
     form = EquationForm.from_tag(args.form)
     t0 = time.perf_counter()
     report = enumerate_solutions(space, form)
@@ -184,8 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="degree cap per variable")
     e.add_argument("--coeff-bound", type=int, default=None,
                    help="coefficient box bound (integers only)")
-    e.add_argument("--budget", type=int, default=EnumSpace.budget,
-                   help="candidate count limit")
     e.set_defaults(handler=_cmd_enumerate)
 
     l = sub.add_parser("lucas", parents=[common],

@@ -75,4 +75,6 @@ class UnsupportedSpec(AlgebraError):
 
 
 class BudgetExceeded(AlgebraError):
-    """An enumeration space is larger than the configured candidate budget."""
+    """A computation would pass a fixed work bound: `defect`'s ring
+    operations, the scan's degree cap, or the search's values tried and
+    terms rewritten."""

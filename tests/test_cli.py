@@ -88,9 +88,14 @@ def test_enumerate_integer_box(capsys):
 
 
 def test_enumerate_budget_error(capsys):
-    assert run(["enumerate", "--ring", "zp:3", "--max-deg", "2",
-                "--budget", "100"]) == 2
+    # 10^8 coefficient values, more than the search may try
+    assert run(["enumerate", "--ring", "zp:99999989", "--max-deg", "0"]) == 2
     assert "budget" in capsys.readouterr().err
+    # the bound is fixed: there is no flag to raise it
+    with pytest.raises(SystemExit) as exc:
+        run(["enumerate", "--ring", "zp:3", "--max-deg", "2",
+             "--budget", "100"])
+    assert exc.value.code == 2
 
 
 def test_enumerate_refuses_a_huge_space_at_once(capsys):
@@ -99,11 +104,11 @@ def test_enumerate_refuses_a_huge_space_at_once(capsys):
     assert run(["enumerate", "--ring", "zp:3", "--max-deg", "100"]) == 2
     assert "budget" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 1.0
-    # a degree cap past the int-to-text limit is named by its bit length
+    # a degree cap past the int-to-text limit: the refusal names the limit
     t0 = time.perf_counter()
     assert run(["enumerate", "--ring", "zp:3", "--max-deg",
                 "1" + "0" * 4000]) == 2
-    assert "-bit number" in capsys.readouterr().err
+    assert "budget" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 1.0
 
 

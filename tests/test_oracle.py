@@ -42,22 +42,25 @@ def test_space_validation():
         EnumSpace(F3, 1, 2)  # bound only applies to integers
     with pytest.raises(ValueError):
         EnumSpace(F3, -1)
-    with pytest.raises(BudgetExceeded):
-        EnumSpace(F3, 2, budget=10_000)
-    with pytest.raises(BudgetExceeded):
-        EnumSpace(Z, 2, 4)  # 9^9 > 10^8 default budget
+    # 9^9 candidates, which the search never visits one by one
+    space = EnumSpace(Z, 2, 4)
+    rep = enumerate_solutions(space, EquationForm.J1)
+    assert rep.agreement
+    assert set(rep.solutions) == predicted_solutions(space, EquationForm.J1)
 
 
 def test_over_budget_spaces_are_refused_at_once():
-    # the count is never formed in full and the coefficient values are never
-    # built, so a space of any size is refused in bounded time and memory.
-    # zp:3 at degree 3000 comes first: code that forms the count fails on it
-    # within seconds, before the two larger spaces could take gigabytes.
-    # A degree cap above 4 is refused even within the budget, before its
-    # generic defect is expanded.
-    # A bound past the int-to-text limit is named by its bit length.
-    for args in ((F3, 3000), (F3, 10**6), (Z, 1, 10**12), (Z, 0, 10**5000),
-                 (F2, 5, None, 10**40)):
+    # neither the candidate count nor the coefficient values are formed, so
+    # a space of any size is refused in bounded time and memory.  zp:3 at
+    # degree 3000 comes first: code that forms the count fails on it within
+    # seconds, before the larger spaces could take gigabytes.  A degree cap
+    # above 4 is refused before its generic defect is expanded, and a space
+    # with more coefficient values than the search's work bound before the
+    # search tries them.  The messages name the limits, not the inputs,
+    # which may be past the int-to-text limit.
+    for args in ((F3, 3000), (F3, 10**6), (F3, 10**5000), (Z, 1, 10**12),
+                 (Z, 0, 10**5000), (F2, 5),
+                 (RingSpec.prime_field(99999989), 0)):
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
@@ -332,9 +335,19 @@ def test_search_counts_its_nodes():
         assert rep.to_dict()["search_nodes"] == rep.nodes
 
 
+def test_search_work_is_bounded(monkeypatch):
+    # about 47 500 values tried and terms rewritten
+    space = EnumSpace(F5, 3)
+    assert enumerate_solutions(space, EquationForm.J1).agreement
+    monkeypatch.setattr(importlib.import_module("jacobipoly.oracle"),
+                        "_MAX_SEARCH_WORK", 10_000)
+    with pytest.raises(BudgetExceeded, match="budget"):
+        enumerate_solutions(space, EquationForm.J1)
+
+
 def test_degree_four_scans_agree_with_the_families():
-    # 2^25 candidates, within the default budget: the search at the degree
-    # cap, whose generic defect has exponents up to 5
+    # 2^25 candidates: the search at the degree cap, whose generic defect
+    # has exponents up to 5
     space = EnumSpace(F2, 4)
     for form in EquationForm:
         rep = enumerate_solutions(space, form)
