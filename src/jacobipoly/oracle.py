@@ -18,7 +18,10 @@ every candidate with that prefix: the search skips the whole subtree and
 undoes the rewrites on its way back (splitting with propagation; Davis,
 Logemann and Loveland 1962).  A leaf of the search is a candidate at which
 every coefficient is zero, and each one still goes through the formal
-`defect`, so the search only ever rejects candidates.
+`defect`, so the search only ever rejects candidates.  The search sets the
+x-heavy positions first, so J2 and J5, whose terms mostly nest in y, are
+searched as the swap images of J1 and J6 (`_SWAP_IMAGE`), and each leaf is
+read back into P's positions.
 
 The search bounds its own work: the values it tries plus the terms it
 rewrites.  Past `_MAX_SEARCH_WORK` units it raises `BudgetExceeded`.  It
@@ -48,8 +51,14 @@ _MAX_SCAN_DEGREE = 4
 _EXP_BITS = (_MAX_SCAN_DEGREE + 1).bit_length()
 # A unit of search work, a value tried or a term rewritten, took 0.23-1.6 us
 # over 25 spaces (Python 3.11, 2.1 GHz Xeon), so a search ends within about
-# 5-32 s.  zp:5 at degree 4 for j2, 16.2 M units, is accepted.
+# 5-32 s.  At degree 4, zp:19 for j1 and j2, 14.8 M units, is accepted, and
+# zp:23 is refused.
 _MAX_SEARCH_WORK = 2 * 10**7
+
+# P solves J2 (J5) exactly when swap(P) solves J1 (J6).  The terms of J2 all
+# nest in the second argument, and most of J5's: the forms fix this rule.
+_SWAP_IMAGE = {EquationForm.J2: EquationForm.J1,
+               EquationForm.J5: EquationForm.J6}
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,11 @@ class EnumSpace:
     coeff_bound: int | None = None
 
     def __post_init__(self):
+        sizes = [self.max_deg_per_var]
+        if self.coeff_bound is not None:
+            sizes.append(self.coeff_bound)
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in sizes):
+            raise TypeError("max_deg_per_var and coeff_bound must be ints")
         if self.spec.kind == EXTENSION:
             raise UnsupportedSpec(
                 "exhaustive enumeration over an extension ring is not "
@@ -146,21 +160,30 @@ class EnumReport:
 
 def predicted_solutions(space: EnumSpace, form: EquationForm) -> frozenset[MultiPoly]:
     """The solution set the classification implies for the space: the
-    families for J1, their swap image for J2, and {0} for J5 and J6."""
+    families for J1, {0} for J6, and for J2 and J5 the swap image of the
+    set for their `_SWAP_IMAGE` form."""
+    if form in _SWAP_IMAGE:
+        return frozenset(map(swap, predicted_solutions(space,
+                                                       _SWAP_IMAGE[form])))
     if form is EquationForm.J1:
         return family_members(space)
-    if form is EquationForm.J2:
-        return frozenset(swap(p) for p in family_members(space))
     return frozenset({MultiPoly.zero(space.spec, _XY)})
 
 
 def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
     """Scan the whole space and compare against the predicted set.
 
-    For J1 the agreement flag additionally requires every found solution
-    to classify as a family member.
+    J2 and J5 are searched as the swap images of J1 and J6, so their node
+    count is the image's.  For J1 the agreement flag additionally requires
+    every found solution to classify as a family member.
     """
-    leaves, nodes = _search(space, form)
+    image = _SWAP_IMAGE.get(form, form)
+    leaves, nodes = _search(space, image)
+    if image is not form:
+        # a leaf holds swap(P): P's coefficient at (i, j) is its at (j, i)
+        mons = space.monomials
+        at = [mons.index((j, i)) for i, j in mons]
+        leaves = sorted(tuple(combo[m] for m in at) for combo in leaves)
     solutions = []
     for combo in leaves:
         p = space._poly(combo)
