@@ -14,7 +14,6 @@ from .classify import (
     Char3Affine,
     Char3Product,
     ClassificationResult,
-    ConstantSolutionRule,
     FamilyParams,
     LinearBC,
     SystemResiduals,
@@ -27,7 +26,6 @@ from .classify import (
 from .errors import AlgebraError
 from .jacobi import EquationForm, defect, satisfies, swap
 from .numtheory import (
-    BasePDigits,
     Cor2aReport,
     base_p_digits,
     binom_mod_p,
@@ -53,11 +51,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraError",
-    "BasePDigits",
     "Char3Affine",
     "Char3Product",
     "ClassificationResult",
-    "ConstantSolutionRule",
     "Cor2aReport",
     "EnumReport",
     "EnumSpace",

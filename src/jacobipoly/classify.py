@@ -235,25 +235,9 @@ def classify(p: MultiPoly) -> ClassificationResult:
     return ClassificationResult(family=None, witness=lt)
 
 
-@dataclass(frozen=True)
-class ConstantSolutionRule:
-    """Which constants satisfy J1 over a given ring: every constant in
-    characteristic 3 and only zero otherwise."""
-
-    characteristic: int
-    every_constant: bool
-
-    def describe(self) -> str:
-        if self.every_constant:
-            return "every constant (characteristic 3)"
-        return (f"only the zero constant "
-                f"(characteristic {self.characteristic})")
-
-
-def constant_solutions(spec: RingSpec) -> ConstantSolutionRule:
-    """The constants are the A = B = C = 0 slice of the system, where only
-    3*D*(B+1) = 3*D is left, so D = 1 solves it exactly when every D does."""
-    return ConstantSolutionRule(
-        characteristic=spec.characteristic,
-        every_constant=system_check(0, 0, 0, 1, spec).all_zero,
-    )
+def constant_solutions(spec: RingSpec) -> bool:
+    """Whether every constant satisfies J1 over spec; otherwise only zero
+    does.  The constants are the A = B = C = 0 slice of the system, where
+    only 3*D*(B+1) = 3*D is left, so D = 1 solves it exactly when every D
+    does."""
+    return system_check(0, 0, 0, 1, spec).all_zero

@@ -94,16 +94,28 @@ def _cmd_enumerate(args) -> int:
     t0 = time.perf_counter()
     report = enumerate_solutions(space, form)
     elapsed = time.perf_counter() - t0
-    payload = report.to_dict()
-    payload["elapsed_seconds"] = round(elapsed, 3)
+    solutions = [str(s) for s in report.solutions]
+    payload = {
+        "form": form.value,
+        "ring": str(spec),
+        "max_deg_per_var": args.max_deg,
+        "coeff_bound": args.coeff_bound,
+        "candidates": space.candidate_count,
+        "solutions": solutions,
+        "agreement": report.agreement,
+        "max_solution_degrees": list(report.max_solution_degrees),
+        "formally_checked": report.checked,
+        "search_nodes": report.nodes,
+        "elapsed_seconds": round(elapsed, 3),
+    }
     lines = [
         f"{form.value} over {spec}, max deg {args.max_deg}"
         + (f", |coeff| <= {args.coeff_bound}" if args.coeff_bound else ""),
         f"candidates {space.candidate_count}, solutions "
-        f"{len(report.solutions)}, agreement {report.agreement}, "
+        f"{len(solutions)}, agreement {report.agreement}, "
         f"{elapsed:.2f}s",
     ]
-    lines += [f"  {s}" for s in report.solutions]
+    lines += [f"  {s}" for s in solutions]
     _emit(args, payload, lines)
     return 0 if report.agreement else 1
 
@@ -132,7 +144,8 @@ def _cmd_families(args) -> int:
     spec = RingSpec.parse(args.ring)
     char = spec.characteristic
     fams = _families(char)
-    rule = constant_solutions(spec)
+    constants = ("every constant" if constant_solutions(spec)
+                 else "only the zero constant") + f" (characteristic {char})"
     payload = {
         "ring": str(spec),
         "characteristic": char,
@@ -140,11 +153,11 @@ def _cmd_families(args) -> int:
             {"family": f.name, "shape": f.shape, "condition": f.condition}
             for f in fams
         ],
-        "constants": rule.describe(),
+        "constants": constants,
     }
     lines = [f"ring {spec}, characteristic {char}"]
     lines += [f"  {f.name}: P = {f.shape} with {f.condition}" for f in fams]
-    lines.append(f"  constants: {rule.describe()}")
+    lines.append(f"  constants: {constants}")
     _emit(args, payload, lines)
     return 0
 

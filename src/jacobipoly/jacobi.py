@@ -79,6 +79,9 @@ def _compose(form: EquationForm, terms: dict, one, mul, neg, add) -> dict:
     The powers of P are computed once, each base the form uses is expanded
     once from them, and each term adds its base permuted to its arguments.
     """
+    compositions = _COMPOSITIONS.get(form)
+    if compositions is None:
+        raise TypeError(f"expected an EquationForm, got {form!r}")
     pows = [{(0, 0): one}]
     for _ in range(max(map(max, terms), default=0)):
         out: dict = {}
@@ -89,7 +92,7 @@ def _compose(form: EquationForm, terms: dict, one, mul, neg, add) -> dict:
 
     bases: dict = {}
     acc: dict = {}
-    for sign, base, args in _COMPOSITIONS[form]:
+    for sign, base, args in compositions:
         if base not in bases:
             # keyed by the exponents of (u, v, w)
             bases[base] = out = {}

@@ -57,28 +57,14 @@ def _require_prime(p: int) -> None:
         raise NotPrime(f"modulus {p} is not prime")
 
 
-@dataclass(frozen=True)
-class BasePDigits:
-    """Base-p expansion of a nonnegative integer, least significant first."""
-
-    n: int
-    p: int
-    digits: tuple[int, ...]
-
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-
-def base_p_digits(n: int, p: int) -> BasePDigits:
+def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     """Expand n >= 0 in base p.  Zero expands to the empty digit vector."""
-    digits = tuple(ni for ni, _, _ in lucas_factors(n, 0, p))
-    return BasePDigits(n=n, p=p, digits=digits)
+    return tuple(ni for ni, _, _ in lucas_factors(n, 0, p))
 
 
 def digit_sum(n: int, p: int) -> int:
     """Sum of the base-p digits of n."""
-    return base_p_digits(n, p).digit_sum
+    return sum(base_p_digits(n, p))
 
 
 def in_s_m(n: int, p: int, m: int) -> bool:
@@ -137,10 +123,10 @@ def s2_parts(n: int, p: int) -> tuple[int, int]:
     with multiplicity, are the exponents (one digit 2 gives n1 = n2).
     Raises NotInS2 when the digits do not sum to 2.
     """
-    exp = base_p_digits(n, p)
-    if exp.digit_sum != 2:
-        raise NotInS2(f"{n} has base-{p} digit sum {exp.digit_sum}, not 2")
-    low, high = (i for i, d in enumerate(exp.digits) for _ in range(d))
+    digits = base_p_digits(n, p)
+    if sum(digits) != 2:
+        raise NotInS2(f"{n} has base-{p} digit sum {sum(digits)}, not 2")
+    low, high = (i for i, d in enumerate(digits) for _ in range(d))
     return p**high, p**low
 
 

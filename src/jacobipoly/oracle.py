@@ -75,6 +75,8 @@ class EnumSpace:
             sizes.append(self.coeff_bound)
         if any(isinstance(n, bool) or not isinstance(n, int) for n in sizes):
             raise TypeError("max_deg_per_var and coeff_bound must be ints")
+        if not isinstance(self.spec, RingSpec):
+            raise TypeError("spec must be a RingSpec")
         if self.spec.kind == EXTENSION:
             raise UnsupportedSpec(
                 "exhaustive enumeration over an extension ring is not "
@@ -133,8 +135,6 @@ class EnumSpace:
 class EnumReport:
     """Outcome of one exhaustive scan."""
 
-    form: EquationForm
-    space: EnumSpace
     solutions: tuple[MultiPoly, ...]
     agreement: bool
     max_solution_degrees: tuple[int, int]
@@ -142,20 +142,6 @@ class EnumReport:
     checked: int
     # values the search tried at a position, pruned or not
     nodes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "form": self.form.value,
-            "ring": str(self.space.spec),
-            "max_deg_per_var": self.space.max_deg_per_var,
-            "coeff_bound": self.space.coeff_bound,
-            "candidates": self.space.candidate_count,
-            "solutions": [str(s) for s in self.solutions],
-            "agreement": self.agreement,
-            "max_solution_degrees": list(self.max_solution_degrees),
-            "formally_checked": self.checked,
-            "search_nodes": self.nodes,
-        }
 
 
 def predicted_solutions(space: EnumSpace, form: EquationForm) -> frozenset[MultiPoly]:
@@ -167,7 +153,9 @@ def predicted_solutions(space: EnumSpace, form: EquationForm) -> frozenset[Multi
                                                        _SWAP_IMAGE[form])))
     if form is EquationForm.J1:
         return family_members(space)
-    return frozenset({MultiPoly.zero(space.spec, _XY)})
+    if form is EquationForm.J6:
+        return frozenset({MultiPoly.zero(space.spec, _XY)})
+    raise TypeError(f"expected an EquationForm, got {form!r}")
 
 
 def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
@@ -195,8 +183,6 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
     dx = max((p.deg_in("x") for p in solutions), default=-1)
     dy = max((p.deg_in("y") for p in solutions), default=-1)
     return EnumReport(
-        form=form,
-        space=space,
         solutions=tuple(solutions),
         agreement=agreement,
         max_solution_degrees=(dx, dy),

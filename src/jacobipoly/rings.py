@@ -57,6 +57,10 @@ class RingSpec:
         else:
             if p is None:
                 raise ValueError("a prime modulus is required")
+            # a float or bool would compare and hash equal to its int, yet
+            # print as itself in the spec and in every coefficient
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise TypeError(f"the modulus must be an int, got {p!r}")
             _require_prime(p)
             if kind == PRIME_FIELD and var_name is not None:
                 raise ValueError("prime field takes no variable name")

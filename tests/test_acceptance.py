@@ -222,6 +222,6 @@ def test_criterion_10_constant_rule():
             sat = satisfies(MultiPoly.constant(spec, XY, c), EquationForm.J1)
             ok = ok and sat == (c * 3).is_zero
             ok = ok and sat == system_check(0, 0, 0, c, spec=spec).all_zero
-            ok = ok and sat == (rule.every_constant or c.is_zero)
+            ok = ok and sat == (rule or c.is_zero)
     _report(10, ok, "a constant satisfies j1 exactly when 3c = 0: every "
                     "constant in characteristic 3, only zero otherwise")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -78,6 +79,29 @@ def test_enumerate_json(capsys):
     assert payload["agreement"] is True
     assert payload["candidates"] == 16
     assert "elapsed_seconds" in payload
+
+
+def test_enumerate_json_layout(capsys):
+    argv = ["enumerate", "--ring", "int", "--max-deg", "1", "--coeff-bound",
+            "2", "--output", "json"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == [
+        "agreement", "candidates", "coeff_bound", "elapsed_seconds", "form",
+        "formally_checked", "max_deg_per_var", "max_solution_degrees",
+        "ring", "search_nodes", "solutions"]
+    assert payload["ring"] == "int" and payload["coeff_bound"] == 2
+    assert payload["max_deg_per_var"] == 1
+    assert payload["candidates"] == 625
+    assert payload["form"] == "j1"
+    assert payload["agreement"] is True
+    assert payload["solutions"] == ["0"]
+    assert payload["max_solution_degrees"] == [-1, -1]
+    # the same scan writes the same JSON, but for its elapsed time
+    assert run(argv) == 0
+    again = json.loads(capsys.readouterr().out)
+    del payload["elapsed_seconds"], again["elapsed_seconds"]
+    assert again == payload
 
 
 def test_enumerate_integer_box(capsys):
@@ -369,6 +393,28 @@ def test_readme_examples(capsys, command, expected):
     out = capsys.readouterr().out
     assert _ELAPSED.sub("<elapsed>", out) == \
         _ELAPSED.sub("<elapsed>", expected)
+
+
+def test_readme_library_example():
+    """Run the README's ```python block: each expression's repr must equal
+    its ``# ...`` comment, written after it or on the next line."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    source = re.search(r"^```python\n(.*?)^```$", text, re.M | re.S).group(1)
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(source).body:
+        code = ast.get_source_segment(source, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if not comment and stmt.end_lineno < len(lines):
+            comment = lines[stmt.end_lineno].strip()
+        assert comment.startswith("# "), f"no result given for {code}"
+        assert repr(eval(code, namespace)) == comment[2:], code
+        checked += 1
+    assert checked
 
 
 def test_enumerate_json_counts_formal_checks(capsys):

@@ -55,6 +55,16 @@ def test_constructor_rejects_bad_parameters():
             RingSpec(*args)
 
 
+def test_modulus_must_be_an_int():
+    # 3.0 == 3, so a float modulus built a ring equal to zp:3 that printed
+    # as zp:3.0 and put 2.0 in its polynomials' text
+    for p in (3.0, 43.0, 2.5, True, "3"):
+        with pytest.raises(TypeError, match="modulus must be an int"):
+            RingSpec.prime_field(p)
+    with pytest.raises(TypeError, match="modulus must be an int"):
+        RingSpec.extension(2.0, "t")
+
+
 def test_large_modulus_is_decided_quickly():
     start = time.perf_counter()
     assert RingSpec.parse("zp:1000000000000000003").p == 10**18 + 3
