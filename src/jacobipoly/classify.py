@@ -32,7 +32,7 @@ _ABCD = {"A": (1, 1), "B": (1, 0), "C": (0, 1), "D": (0, 0)}
 class FamilyParams:
     """The parameters of one family member.  Each family names them as
     dataclass fields and maps them to the coefficients (A, B, C, D) of
-    A*x*y + B*x + C*y + D in `image`."""
+    A*x*y + B*x + C*y + D in `image`, with 0 for a coefficient it lacks."""
 
     def coefficients(self):
         # a dataclass's __match_args__ names its fields in order
@@ -49,7 +49,7 @@ class LinearBC(FamilyParams):
     name: ClassVar[str] = "linear_bc"
     shape: ClassVar[str] = "B*x + C*y"
     condition: ClassVar[str] = "B^2 + B*C + C = 0"
-    image = staticmethod(lambda B, C, zero: (zero, B, C, zero))
+    image = staticmethod(lambda B, C: (0, B, C, 0))
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class Char3Product(FamilyParams):
     name: ClassVar[str] = "char3_product"
     shape: ClassVar[str] = "A*x*y + B*(x+y) + D"
     condition: ClassVar[str] = "A*D = B^2 - B"
-    image = staticmethod(lambda A, B, D, zero: (A, B, B, D))
+    image = staticmethod(lambda A, B, D: (A, B, B, D))
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Char3Affine(FamilyParams):
     name: ClassVar[str] = "char3_affine"
     shape: ClassVar[str] = "B*x + C*y + D"
     condition: ClassVar[str] = "B^2 + B*C + C = 0"
-    image = staticmethod(lambda B, C, D, zero: (zero, B, C, D))
+    image = staticmethod(lambda B, C, D: (0, B, C, D))
 
 
 # The solution families of each characteristic, in the order `families`
@@ -105,11 +105,11 @@ def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
     valid = _families(spec.characteristic) + _families(None)
     if type(params) not in valid:
         raise CharMismatch(f"{params.name} is not a family over {spec}")
-    abcd = params.image(*values, spec.zero())
+    abcd = params.image(*values)
     if not system_check(*abcd, spec).all_zero:
         raise ConditionViolated(f"{params.condition} fails for {params}")
     return MultiPoly._from_raw(spec, ("x", "y"), {
-        m: v.value for m, v in zip(_ABCD.values(), abcd) if not v.is_zero})
+        m: v.value for m, v in zip(_ABCD.values(), abcd) if v})
 
 
 _RESIDUAL_NAMES = ("3*A^2", "3*D*(B+1)", "A*(2*B+C)", "B^2+B*C+C+A*D")
@@ -164,8 +164,8 @@ def _solve_last(family, head, values, spec: RingSpec):
     Every residual of `system_check` is affine in each family's last
     parameter, R(t) = R(0) + t*(R(1) - R(0)), so each one is an equation
     a*t = -r over the integers or F_p."""
-    zero, p = spec.zero(), spec.characteristic
-    at = [system_check(*family.image(*head, t, zero), spec).residuals
+    p = spec.characteristic
+    at = [system_check(*family.image(*head, t), spec).residuals
           for t in (0, 1)]
     solved = None
     for r0, r1 in zip(*at):
@@ -217,7 +217,7 @@ def classify(p: MultiPoly) -> ClassificationResult:
         # names a member that two families share after the later one.
         for listed in reversed(_families(spec.characteristic)):
             params = [named[name] for name in listed.__match_args__]
-            if listed.image(*params, spec.zero()) == abcd:
+            if listed.image(*params) == abcd:
                 family = listed(*params)
                 try:
                     member = make_family(family, spec)

@@ -33,9 +33,9 @@ from .rings import RingSpec
 _FORM_TAGS = tuple(f.value for f in EquationForm)
 
 
-def _witness_payload(spec, witness):
+def _witness_payload(witness):
     mono, coeff = witness
-    term = MultiPoly._from_raw(spec, ("x", "y", "z"),
+    term = MultiPoly._from_raw(coeff.spec, ("x", "y", "z"),
                                {mono.exponents: coeff.value})
     return {
         "monomial": mono.text(("x", "y", "z")),
@@ -53,15 +53,14 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _cmd_verify(args) -> int:
-    spec = RingSpec.parse(args.ring)
-    p = MultiPoly.parse(args.poly, spec)
+    p = MultiPoly.parse(args.poly, RingSpec.parse(args.ring))
     form = EquationForm.from_tag(args.form)
     d = defect(p, form)
     if d.is_zero:
         _emit(args, {"form": form.value, "verdict": "satisfied"},
               [f"{form.value} satisfied"])
         return 0
-    witness = _witness_payload(spec, d.least_term())
+    witness = _witness_payload(d.least_term())
     _emit(args,
           {"form": form.value, "verdict": "violated", "witness": witness},
           [f"{form.value} violated, witness {witness['term']}"])
@@ -69,9 +68,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    spec = RingSpec.parse(args.ring)
-    p = MultiPoly.parse(args.poly, spec)
-    res = classify(p)
+    res = classify(MultiPoly.parse(args.poly, RingSpec.parse(args.ring)))
     if res.is_solution:
         fam = res.family
         params = {k: str(v) for k, v in fam.coefficients().items()}
@@ -80,7 +77,7 @@ def _cmd_classify(args) -> int:
               [f"solution: {fam.name} with "
                + ", ".join(f"{k} = {v}" for k, v in params.items())])
         return 0
-    witness = _witness_payload(spec, res.witness)
+    witness = _witness_payload(res.witness)
     _emit(args,
           {"verdict": "not_jacobi", "witness": witness},
           [f"not a solution, defect witness {witness['term']}"])

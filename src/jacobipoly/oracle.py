@@ -268,7 +268,8 @@ def _search(space: EnumSpace, form: EquationForm):
         s = k * _EXP_BITS
         top = 1 << s + _EXP_BITS
         # a polynomial in c_k alone is decided by the value of c_k, so these
-        # are read before anything is rewritten
+        # are read before anything is rewritten (filing them instead made
+        # the counted work 2-3x: zp:10007 at degree 0, zp:1009 at 1)
         closing = [[(c, m >> s) for c, m in terms]
                    for mask, terms in buckets[k] if mask < top]
         rest = [terms for mask, terms in buckets[k] if mask >= top]
@@ -285,6 +286,7 @@ def _search(space: EnumSpace, form: EquationForm):
             mark = len(filed)
             for terms in rest:
                 rewritten += len(terms)
+                # dropping at c_k = 0 beat rewriting 1.6x on zp:5 d4 j1
                 if v:
                     out: dict = {}
                     for c, m in terms:

@@ -161,7 +161,8 @@ class MultiPoly:
             if len(key) != n:
                 raise VarListMismatch(
                     f"exponent tuple {key} has arity {len(key)}, expected {n}")
-            if any(not isinstance(e, int) or e < 0 for e in key):
+            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0
+                   for e in key):
                 raise ValueError(f"bad exponents {key}")
             _accumulate(spec, clean, key, spec._coerce_raw(value))
         self._terms = clean
@@ -287,8 +288,6 @@ class MultiPoly:
                                    _neg_raw(self.spec, self._terms))
 
     def __pow__(self, e: int) -> MultiPoly:
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         spec, one = self.spec, {(0,) * len(self.vars): self.spec._rone}
         out = _square_multiply(lambda a, b: _mul_raw(spec, a, b), one,
                                self._terms, e)
@@ -313,7 +312,8 @@ class MultiPoly:
 
         All replacement polynomials must share this polynomial's spec and a
         common variable list (the target list); unbound variables must exist
-        in the target list and map to themselves.
+        in the target list and map to themselves.  Binding each variable to
+        itself over a new list re-indexes the polynomial over that list.
         """
         if not bindings:
             return self
@@ -365,24 +365,6 @@ class MultiPoly:
             for m, v in prod.items():
                 _accumulate(spec, acc, m, spec._rmul(c, v))
         return MultiPoly._from_raw(spec, target, acc)
-
-    def with_vars(self, vars) -> MultiPoly:
-        """Re-index over a wider (or reordered) variable list containing
-        every variable of this polynomial."""
-        vars = _check_vars(self.spec, vars)
-        try:
-            pos = [vars.index(v) for v in self.vars]
-        except ValueError:
-            missing = [v for v in self.vars if v not in vars]
-            raise UnknownVariable(f"{missing[0]!r} not among {vars}") from None
-        out = {}
-        width = len(vars)
-        for mono, c in self._terms.items():
-            m = [0] * width
-            for i, e in enumerate(mono):
-                m[pos[i]] = e
-            out[tuple(m)] = c
-        return MultiPoly._from_raw(self.spec, vars, out)
 
     def evaluate(self, values: dict) -> RingElement:
         """Plug in a ring element for every variable."""

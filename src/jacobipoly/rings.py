@@ -47,27 +47,19 @@ class RingSpec:
     __slots__ = ("kind", "p", "var_name", "_radd", "_rmul", "_rneg",
                  "_rzero", "_rone")
 
-    def __init__(self, kind: str, p: int | None = None,
-                 var_name: str | None = None):
-        if kind not in (INTEGERS, PRIME_FIELD, EXTENSION):
-            raise ValueError(f"unknown ring kind {kind!r}")
-        if kind == INTEGERS:
-            if p is not None or var_name is not None:
-                raise ValueError("Integers take no parameters")
-        else:
-            if p is None:
-                raise ValueError("a prime modulus is required")
+    def __init__(self, p: int | None = None, var_name: str | None = None):
+        if p is not None:
             # a float or bool would compare and hash equal to its int, yet
             # print as itself in the spec and in every coefficient
             if isinstance(p, bool) or not isinstance(p, int):
                 raise TypeError(f"the modulus must be an int, got {p!r}")
             _require_prime(p)
-            if kind == PRIME_FIELD and var_name is not None:
-                raise ValueError("prime field takes no variable name")
-            if kind == EXTENSION:
-                if var_name is None or not _IDENT.fullmatch(var_name):
-                    raise ValueError("extension needs an identifier variable name")
-        self.kind = kind
+        elif var_name is not None:
+            raise ValueError("a prime modulus is required")
+        if var_name is not None and not _IDENT.fullmatch(var_name):
+            raise ValueError("extension needs an identifier variable name")
+        self.kind = kind = (INTEGERS if p is None else
+                            PRIME_FIELD if var_name is None else EXTENSION)
         self.p = p
         self.var_name = var_name
 
@@ -89,15 +81,19 @@ class RingSpec:
 
     @classmethod
     def integers(cls) -> RingSpec:
-        return cls(INTEGERS)
+        return cls()
 
     @classmethod
     def prime_field(cls, p: int) -> RingSpec:
-        return cls(PRIME_FIELD, p)
+        if p is None:  # RingSpec(None) is the integers
+            raise ValueError("a prime modulus is required")
+        return cls(p)
 
     @classmethod
     def extension(cls, p: int, var_name: str) -> RingSpec:
-        return cls(EXTENSION, p, var_name)
+        if var_name is None:  # RingSpec(p, None) is the prime field
+            raise ValueError("extension needs an identifier variable name")
+        return cls(p, var_name)
 
     @classmethod
     def parse(cls, text: str) -> RingSpec:
@@ -131,12 +127,11 @@ class RingSpec:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingSpec)
-                and self.kind == other.kind
                 and self.p == other.p
                 and self.var_name == other.var_name)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.p, self.var_name))
+        return hash((self.p, self.var_name))
 
     @property
     def characteristic(self) -> int:
@@ -191,8 +186,6 @@ class RingSpec:
         return 0
 
     def _rpow(self, a, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
         return _square_multiply(self._rmul, self._rone, a, e)
 
     def _literal(self, raw) -> str:
@@ -219,7 +212,10 @@ class RingSpec:
 
 
 def _square_multiply(mul, one, base, e: int):
-    """base^e by repeated squaring, for an associative mul with unit one."""
+    """base^e by repeated squaring, for an associative mul with unit one;
+    the one check of the exponent, which both `**` operators reach."""
+    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a nonnegative integer")
     out = one
     while e:
         if e & 1:

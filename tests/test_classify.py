@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from jacobipoly import (
     satisfies,
     system_check,
 )
+from jacobipoly.classify import _ABCD, FAMILY_TABLE, _families, _solve_last
 from jacobipoly.errors import (
     AlgebraError,
     CharMismatch,
@@ -307,6 +309,88 @@ def test_family_members_round_trip_beyond_small_fields():
             res = classify(p)
             assert res.is_solution
             assert make_family(res.family, space.spec) == p
+
+
+def test_family_members_counts():
+    assert len(family_members(EnumSpace(F2, 1))) == 1
+    assert len(family_members(EnumSpace(F3, 1))) == 12
+    assert len(family_members(EnumSpace(F5, 1))) == 4
+    assert len(family_members(EnumSpace(Z, 1, 4))) == 2
+    # a degree-0 space keeps only the constant members
+    assert {str(p) for p in family_members(EnumSpace(F3, 0))} == {"0", "1", "2"}
+    assert {str(p) for p in family_members(EnumSpace(F5, 0))} == {"0"}
+
+
+def _members_by_walk(space):
+    """The reference: every parameter tuple of the space goes through
+    make_family, which keeps the ones that satisfy the system."""
+    spec, k = space.spec, space.max_deg_per_var
+    out = set()
+    for family in _families(spec.characteristic):
+        ranges = [space.coefficient_values if max(_ABCD[name]) <= k else (0,)
+                  for name in family.__match_args__]
+        for params in itertools.product(*ranges):
+            try:
+                out.add(make_family(family(*params), spec))
+            except ConditionViolated:
+                pass
+    return frozenset(out)
+
+
+def test_family_members_equal_the_full_walk():
+    # the int boxes hold B = -1, where the condition B^2 + B*C + C = 0 has
+    # no C; zp:p holds B = p - 1 likewise.  zp:3 holds the product family's
+    # A = 0, B^2 = B heads and the affine family's free D, and every d0
+    # space pins the solved parameter to 0
+    spaces = [EnumSpace(Z, d, b) for b in (1, 2, 3) for d in (0, 1, 2)]
+    spaces += [EnumSpace(RingSpec.prime_field(p), d)
+               for p in (2, 3, 5, 7) for d in (0, 1, 2)]
+    spaces.append(EnumSpace(RingSpec.prime_field(13), 1))
+    for space in spaces:
+        assert family_members(space) == _members_by_walk(space), space
+
+
+def test_residuals_are_affine_in_the_last_parameter():
+    # family_members solves each family's last parameter from two points
+    # of the system, which is exact only while every residual is affine in it
+    rng = random.Random(14)
+    for family in (f for row in FAMILY_TABLE.values() for f in row):
+        for _ in range(25):
+            head = [rng.randint(-50, 50)
+                    for _ in family.__match_args__[:-1]]
+            r0, r1 = (system_check(*family.image(*head, t), Z).residuals
+                      for t in (0, 1))
+            for t in (-7, -1, 2, 3, 11, rng.randint(-10**6, 10**6)):
+                rt = system_check(*family.image(*head, t), Z).residuals
+                assert [r.value for r in rt] == \
+                    [(a + t * (b - a)).value for a, b in zip(r0, r1)]
+
+
+def test_solved_parameter_satisfies_every_residual():
+    # no listed family has two residuals that both pin its last parameter,
+    # so a stand-in with D = C gives 3*D*(B+1) = 0 next to B^2 + B*C + C = 0
+    class Pinned:
+        image = staticmethod(lambda B, C: (0, B, C, C))
+
+    assert _solve_last(Pinned, (0,), range(-5, 6), Z) == (0,)
+    assert _solve_last(Pinned, (-2,), range(-5, 6), Z) == ()
+    assert _solve_last(Pinned, (1,), range(5), F5) == ()
+
+
+def test_family_members_builds_only_the_solved_members(monkeypatch):
+    # 13 values of B solve for C at most once each, where the full walk
+    # builds all 169 (B, C) pairs
+    calls = []
+
+    def counted(params, spec):
+        calls.append(params)
+        return make_family(params, spec)
+
+    monkeypatch.setattr(importlib.import_module("jacobipoly.classify"),
+                        "make_family", counted)
+    members = family_members(EnumSpace(Z, 1, 6))
+    assert {str(p) for p in members} == {"0", "-2*x + 4*y"}
+    assert len(calls) <= 13
 
 
 def test_classify_rejects_a_family_that_does_not_rebuild(monkeypatch):

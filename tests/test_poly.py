@@ -274,6 +274,13 @@ def test_pow_validation():
     assert p**3 == p * p * p
     with pytest.raises(ValueError):
         p ** (-2)
+    # one exponent rule for polynomials and ring elements: a bool, a
+    # non-int or a negative exponent is a ValueError
+    for e in (2.0, True, False, -1):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            p ** e
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            Z.element(2) ** e
 
 
 def test_degrees():
@@ -336,7 +343,7 @@ def test_substitute_examples():
     assert xy.substitute({"x": x, "y": x}) == MultiPoly.parse("x^2", Z)
 
     p = MultiPoly.parse("-2*x + 4*y", Z)
-    px = p.with_vars(XYZ)
+    px = MultiPoly.parse("-2*x + 4*y", Z, XYZ)
     z = MultiPoly.parse("z", Z, XYZ)
     assert p.substitute({"x": px, "y": z}) == \
         MultiPoly.parse("4*x - 8*y + 4*z", Z, XYZ)
@@ -403,15 +410,21 @@ def test_evaluate_examples():
 
 
 def test_with_vars():
+    # substitute re-indexes over new variables when each is bound to itself
     p = MultiPoly.parse("x*y + x", Z)
-    q = p.with_vars(XYZ)
+
+    def reindex(vars):
+        return p.substitute({v: MultiPoly.variable(Z, vars, v)
+                             for v in p.vars})
+
+    q = reindex(XYZ)
     assert q.vars == XYZ
     assert q.coeff((1, 1, 0)) == 1 and q.coeff((1, 0, 0)) == 1
     assert q.deg_in("z") == 0
-    reordered = p.with_vars(("y", "x"))
+    reordered = reindex(("y", "x"))
     assert reordered.coeff((1, 1)) == 1 and reordered.deg_in("y") == 1
     with pytest.raises(UnknownVariable):
-        p.with_vars(("x", "z"))
+        reindex(("x", "z"))
 
 
 def test_hash_consistency(rng):
@@ -427,3 +440,5 @@ def test_non_integer_exponents_are_value_errors():
         MultiPoly(Z, XY, {("a", 0): 1})
     with pytest.raises(ValueError):
         MultiPoly(Z, XY, {(1.5, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(Z, XY, {(True, False): 2})

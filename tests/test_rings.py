@@ -42,17 +42,24 @@ def test_nonprime_modulus_rejected():
 
 
 def test_constructor_rejects_bad_parameters():
+    # no modulus is the integers, a modulus F_p, and a variable F_p[var]
+    assert RingSpec() == RingSpec.integers()
+    assert RingSpec(3) == RingSpec.prime_field(3)
+    assert RingSpec(3, "t") == RingSpec.extension(3, "t")
+    assert [RingSpec().kind, RingSpec(3).kind, RingSpec(3, "t").kind] == \
+        [INTEGERS, PRIME_FIELD, EXTENSION]
+    assert len({RingSpec(), RingSpec(3), RingSpec(3, "t"),
+                RingSpec(3, "u")}) == 4
     for args, message in (
-            (("gf", 3), "unknown ring kind"),
-            ((INTEGERS, 3), "no parameters"),
-            ((INTEGERS, None, "t"), "no parameters"),
-            ((PRIME_FIELD,), "prime modulus is required"),
-            ((EXTENSION, None, "t"), "prime modulus is required"),
-            ((PRIME_FIELD, 3, "t"), "no variable name"),
-            ((EXTENSION, 3), "identifier variable name"),
-            ((EXTENSION, 3, "2t"), "identifier variable name")):
+            ((None, "t"), "prime modulus is required"),
+            ((3, "2t"), "identifier variable name")):
         with pytest.raises(ValueError, match=message):
             RingSpec(*args)
+    # a named constructor refuses what would build another kind of ring
+    with pytest.raises(ValueError, match="prime modulus is required"):
+        RingSpec.prime_field(None)
+    with pytest.raises(ValueError, match="identifier variable name"):
+        RingSpec.extension(3, None)
 
 
 def test_modulus_must_be_an_int():
