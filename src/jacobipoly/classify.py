@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AlgebraError, CharMismatch, ConditionViolated
-from .jacobi import EquationForm, defect, _require_xy
+from .jacobi import _XY, EquationForm, defect, _require_xy
 from .poly import MultiPoly, Monomial
 from .rings import RingElement, RingSpec
 
@@ -108,7 +108,7 @@ def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
     abcd = params.image(*values)
     if not system_check(*abcd, spec).all_zero:
         raise ConditionViolated(f"{params.condition} fails for {params}")
-    return MultiPoly._from_raw(spec, ("x", "y"), {
+    return MultiPoly._from_raw(spec, _XY, {
         m: v.value for m, v in zip(_ABCD.values(), abcd) if v})
 
 
@@ -143,14 +143,14 @@ def family_members(space) -> frozenset[MultiPoly]:
     Each family's parameters but the last are walked and the last one is
     solved from the coefficient system, so a family of n parameters over
     the values V costs at most 2*|V|^(n-1) system checks, not |V|^n."""
-    spec, k = space.spec, space.max_deg_per_var
+    spec = space.spec
     out = set()
     for family in _families(spec.characteristic):
         # a parameter sets the coefficient its name stands for, which is 0
-        # where that monomial is past the degree cap
+        # where the space has no such monomial
         *heads, last = [
-            space.coefficient_values if max(_ABCD[name]) <= k else (0,)
-            for name in family.__match_args__]
+            space.coefficient_values if _ABCD[name] in space.monomials
+            else (0,) for name in family.__match_args__]
         for head in itertools.product(*heads):
             for t in _solve_last(family, head, last, spec):
                 out.add(make_family(family(*head, t), spec))

@@ -24,7 +24,7 @@ import time
 
 from .classify import _families, classify, constant_solutions
 from .errors import AlgebraError
-from .jacobi import EquationForm, defect
+from .jacobi import _XYZ, EquationForm, defect
 from .numtheory import lucas_factors
 from .oracle import EnumSpace, enumerate_solutions
 from .poly import MultiPoly
@@ -35,10 +35,9 @@ _FORM_TAGS = tuple(f.value for f in EquationForm)
 
 def _witness_payload(witness):
     mono, coeff = witness
-    term = MultiPoly._from_raw(coeff.spec, ("x", "y", "z"),
-                               {mono.exponents: coeff.value})
+    term = MultiPoly._from_raw(coeff.spec, _XYZ, {mono.exponents: coeff.value})
     return {
-        "monomial": mono.text(("x", "y", "z")),
+        "monomial": mono.text(_XYZ),
         "coefficient": str(coeff),
         "term": str(term),
     }

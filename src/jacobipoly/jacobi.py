@@ -52,6 +52,7 @@ _COMPOSITIONS = {
     EquationForm.J6: ((1, "R", "xyz"), (1, "L", "xzy"), (-1, "L", "xyz")),
 }
 
+_XY = ("x", "y")
 _XYZ = ("x", "y", "z")
 
 # Largest |P| * dmax * N * f, with N a bound on the terms of P^dmax and f
@@ -65,9 +66,9 @@ _MAX_DEFECT_WORK = 150_000
 
 
 def _require_xy(p: MultiPoly) -> None:
-    if p.vars != ("x", "y"):
+    if p.vars != _XY:
         raise WrongArity(
-            f"expected a bivariate polynomial over ('x', 'y'), got {p.vars}")
+            f"expected a bivariate polynomial over {_XY}, got {p.vars}")
 
 
 def _compose(form: EquationForm, terms: dict, one, mul, neg, add) -> dict:

@@ -20,8 +20,8 @@ Logemann and Loveland 1962).  A leaf of the search is a candidate at which
 every coefficient is zero, and each one still goes through the formal
 `defect`, so the search only ever rejects candidates.  The search sets the
 x-heavy positions first, so J2 and J5, whose terms mostly nest in y, are
-searched as the swap images of J1 and J6 (`_SWAP_IMAGE`), and each leaf is
-read back into P's positions.
+searched as the swap images of J1 and J6 (`_SWAP_IMAGE`), and `swap` turns
+each leaf back into P.
 
 The search bounds its own work: the values it tries plus the terms it
 rewrites.  Past `_MAX_SEARCH_WORK` units it raises `BudgetExceeded`.  It
@@ -37,11 +37,9 @@ from dataclasses import dataclass
 
 from .classify import classify, family_members
 from .errors import BudgetExceeded, UnsupportedSpec
-from .jacobi import EquationForm, _compose, defect, swap
+from .jacobi import _XY, EquationForm, _compose, defect, swap
 from .poly import MultiPoly, _grade
 from .rings import EXTENSION, INTEGERS, RingSpec
-
-_XY = ("x", "y")
 
 # The search first expands the generic defect of the degree cap.  At degree
 # 5 that has 13.5 M terms and takes gigabytes, so larger caps are refused.
@@ -167,16 +165,13 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
     """
     image = _SWAP_IMAGE.get(form, form)
     leaves, nodes = _search(space, image)
+    polys = map(space._poly, leaves)
     if image is not form:
-        # a leaf holds swap(P): P's coefficient at (i, j) is its at (j, i)
-        mons = space.monomials
-        at = [mons.index((j, i)) for i, j in mons]
-        leaves = sorted(tuple(combo[m] for m in at) for combo in leaves)
-    solutions = []
-    for combo in leaves:
-        p = space._poly(combo)
-        if not defect(p, form):
-            solutions.append(p)
+        # a leaf is swap(P); P's coefficients in monomial order are its place
+        # in the odometer order
+        polys = sorted(map(swap, polys), key=lambda p: [
+            p._terms.get(m, 0) for m in space.monomials])
+    solutions = [p for p in polys if not defect(p, form)]
     agreement = set(solutions) == predicted_solutions(space, form)
     if agreement and form is EquationForm.J1:
         agreement = all(classify(p).is_solution for p in solutions)

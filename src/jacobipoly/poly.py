@@ -335,16 +335,9 @@ class MultiPoly:
         spec = self.spec
         width = len(target)
         unit = {(0,) * width: spec._rone}
-        repl_terms = []
-        for v in self.vars:
-            if v in bindings:
-                repl_terms.append(bindings[v]._terms)
-            else:
-                if v not in target:
-                    raise UnknownVariable(
-                        f"unbound variable {v!r} missing from {target}")
-                exps = tuple(int(w == v) for w in target)
-                repl_terms.append({exps: spec._rone})
+        repl_terms = [bindings[v]._terms if v in bindings
+                      else MultiPoly.variable(spec, target, v)._terms
+                      for v in self.vars]
         powers: list[list[dict]] = [[unit, t] for t in repl_terms]
 
         def power(vi: int, e: int) -> dict:

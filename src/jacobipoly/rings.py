@@ -56,8 +56,13 @@ class RingSpec:
             _require_prime(p)
         elif var_name is not None:
             raise ValueError("a prime modulus is required")
-        if var_name is not None and not _IDENT.fullmatch(var_name):
-            raise ValueError("extension needs an identifier variable name")
+        if var_name is not None:
+            # re refuses a non-str with a bare TypeError that names no argument
+            if not isinstance(var_name, str):
+                raise TypeError(f"the variable name must be a str, got "
+                                f"{type(var_name).__name__}")
+            if not _IDENT.fullmatch(var_name):
+                raise ValueError("extension needs an identifier variable name")
         self.kind = kind = (INTEGERS if p is None else
                             PRIME_FIELD if var_name is None else EXTENSION)
         self.p = p

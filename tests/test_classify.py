@@ -20,6 +20,7 @@ from jacobipoly import (
     defect,
     family_members,
     make_family,
+    oracle,
     satisfies,
     system_check,
 )
@@ -136,6 +137,14 @@ def test_coefficient_system_is_the_generic_j1_defect(rng):
         (1, 0, 0): single, (0, 1, 0): single, (0, 0, 1): single,
         (0, 0, 0): const,
     }
+    # the scan's input is this system: the generic defect of the monomials
+    # of A, B, C and D, in that order, unpacked with its field width
+    bits = oracle._EXP_BITS
+    generic = oracle._generic_defect([(1, 1), (1, 0), (0, 1), (0, 0)],
+                                     EquationForm.J1, 0)
+    assert {xyz: MultiPoly(Z, abcd, {
+        tuple(m >> bits * n & (1 << bits) - 1 for n in range(4)): k
+        for k, m in terms}) for xyz, terms in generic.items()} == system
 
     # system_check's residuals are these coefficients, in its order
     for spec in (Z, F2, F3, F5, F7, E3, E5):

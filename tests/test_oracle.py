@@ -15,6 +15,7 @@ from jacobipoly import (
     enumerate_solutions,
     family_members,
     predicted_solutions,
+    oracle,
     swap,
 )
 from jacobipoly.errors import BudgetExceeded, UnsupportedSpec
@@ -155,6 +156,19 @@ def test_enumerate_j2_is_swap_image():
             keys = [_odometer_key(space, p) for p in rep.solutions]
             assert keys == sorted(keys)
             assert rep.checked == dual.checked
+
+
+def test_dual_forms_agree_with_their_own_search():
+    # enumerate_solutions searches J2 and J5 as the swap images of J1 and
+    # J6; a search of J2 and J5 themselves, which never swaps, finds the same
+    # leaves in odometer order, and each one is a solution
+    for space in (EnumSpace(F2, 2), EnumSpace(F3, 2), EnumSpace(F5, 1),
+                  EnumSpace(Z, 1, 4), EnumSpace(F5, 3), EnumSpace(F3, 4)):
+        for form in (EquationForm.J2, EquationForm.J5):
+            leaves, _ = oracle._search(space, form)
+            rep = enumerate_solutions(space, form)
+            assert tuple(map(space._poly, leaves)) == rep.solutions
+            assert len(leaves) == rep.checked
 
 
 def test_predicted_solutions_by_form():

@@ -72,6 +72,14 @@ def test_modulus_must_be_an_int():
         RingSpec.extension(2.0, "t")
 
 
+def test_variable_name_must_be_a_str():
+    # re raised its own TypeError on these, naming no argument
+    for build in (lambda: RingSpec(3, 5), lambda: RingSpec.extension(3, 5),
+                  lambda: RingSpec(3, b"t")):
+        with pytest.raises(TypeError, match="variable name must be a str"):
+            build()
+
+
 def test_large_modulus_is_decided_quickly():
     start = time.perf_counter()
     assert RingSpec.parse("zp:1000000000000000003").p == 10**18 + 3
