@@ -30,6 +30,10 @@ def is_prime(n: int) -> bool:
 
     Raises ModulusTooLarge from there on rather than guess.
     """
+    # a float or bool compares and hashes equal to its int, so it would
+    # pass for one here and print as itself in a ring built on it
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+        raise TypeError(f"the modulus must be an int, got {type(n).__name__}")
     if n <= 41:
         return n in _SMALL_PRIMES
     if n >= _MR_LIMIT:

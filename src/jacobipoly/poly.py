@@ -144,14 +144,13 @@ def _neg_raw(spec: RingSpec, a: dict) -> dict:
 class MultiPoly:
     """Immutable sparse polynomial; supports +, -, *, ** and substitution."""
 
-    __slots__ = ("spec", "vars", "_terms", "_hash")
+    __slots__ = ("spec", "vars", "_terms")
 
     def __init__(self, spec: RingSpec, vars, terms=None):
         if not isinstance(spec, RingSpec):
             raise TypeError("spec must be a RingSpec")
         self.spec = spec
         self.vars = _check_vars(spec, vars)
-        self._hash = None
         clean: dict = {}
         n = len(self.vars)
         for key, value in (terms or {}).items():
@@ -173,7 +172,6 @@ class MultiPoly:
         self.spec = spec
         self.vars = vars
         self._terms = terms
-        self._hash = None
         return self
 
     @classmethod
@@ -300,10 +298,7 @@ class MultiPoly:
                 and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.spec, self.vars,
-                               frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.spec, self.vars, frozenset(self._terms.items())))
 
     # -- substitution -----------------------------------------------------
 
@@ -386,7 +381,7 @@ class MultiPoly:
     def parse(cls, text: str, spec: RingSpec, vars=("x", "y")) -> MultiPoly:
         """Parse the canonical text grammar over the given variables."""
         vars = _check_vars(spec, vars)
-        terms = _Parser(text, spec, vars).expr(False)
+        terms = _Parser(text, spec, vars).expr()
         return cls._from_raw(spec, vars, terms)
 
     def __str__(self) -> str:
@@ -418,8 +413,8 @@ class _Parser:
     """Recursive descent over the text grammar in the module docstring.
 
     The same routines read the polynomial and its parenthesized
-    coefficients.  ``inner`` is set between parentheses: there the
-    extension variable is the only name and ``)`` ends the expression.
+    coefficients.  Between parentheses (``depth > 0``) the extension
+    variable is the only name and ``)`` ends the expression.
     """
 
     def __init__(self, text: str, spec: RingSpec, vars: tuple[str, ...]):
@@ -437,16 +432,17 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self, inner: bool) -> dict:
+    def expr(self) -> dict:
         """Signed sum of terms, as raw coefficients keyed by exponent tuple."""
         spec = self.spec
+        inner = self.depth > 0
         acc: dict = {}
         kind = self.peek()[0]
         negate = kind == "-"
         if kind in ("+", "-"):
             self.take()
         while True:
-            coeff, exps = self.term(inner)
+            coeff, exps = self.term()
             if negate:
                 coeff = spec._rneg(coeff)
             _accumulate(spec, acc, tuple(exps), coeff)
@@ -461,16 +457,16 @@ class _Parser:
             else:
                 raise ParseError(f"expected '+' or '-', got {kind!r}", pos)
 
-    def term(self, inner: bool):
+    def term(self):
         exps = [0] * len(self.vars)
-        coeff = self.factor(self.spec._rone, exps, inner)
+        coeff = self.factor(self.spec._rone, exps)
         while (kind := self.peek()[0]) in ("*", "int", "name", "("):
             if kind == "*":
                 self.take()
-            coeff = self.factor(coeff, exps, inner)
+            coeff = self.factor(coeff, exps)
         return coeff, exps
 
-    def factor(self, coeff, exps: list, inner: bool):
+    def factor(self, coeff, exps: list):
         """Multiply one factor into the term: a coefficient into ``coeff``,
         a variable's exponent into ``exps``."""
         spec = self.spec
@@ -485,10 +481,10 @@ class _Parser:
                 raise ParseError(f"parentheses nested deeper than "
                                  f"{_MAX_NESTING} levels", pos)
             self.depth += 1
-            raw = self.expr(True).get((0,) * len(self.vars), spec._rzero)
+            raw = self.expr().get((0,) * len(self.vars), spec._rzero)
             self.take()  # the ")" that ended the inner expression
             self.depth -= 1
-        elif kind == "name" and inner:
+        elif kind == "name" and self.depth:
             if value != spec.var_name:
                 raise UnknownVariable(f"{value!r} is not the extension "
                                       f"variable {spec.var_name!r}")
@@ -503,7 +499,7 @@ class _Parser:
             exps[self.vars.index(value)] += self.exponent()
             return coeff
         else:
-            raise ParseError("expected a coefficient factor" if inner
+            raise ParseError("expected a coefficient factor" if self.depth
                              else "expected a factor", pos)
         caret = self.peek()[2]
         e = self.exponent()

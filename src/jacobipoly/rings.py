@@ -49,10 +49,6 @@ class RingSpec:
 
     def __init__(self, p: int | None = None, var_name: str | None = None):
         if p is not None:
-            # a float or bool would compare and hash equal to its int, yet
-            # print as itself in the spec and in every coefficient
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise TypeError(f"the modulus must be an int, got {p!r}")
             _require_prime(p)
         elif var_name is not None:
             raise ValueError("a prime modulus is required")
@@ -107,7 +103,7 @@ class RingSpec:
         if not m:
             raise ParseError(f"bad ring spec {text!r}")
         if m.group(0) == "int":
-            return cls.integers()
+            return cls()
         digits = m.group(1).lstrip("0")
         # more digits than the primality limit has means at least the limit,
         # and int() refuses texts past the interpreter's conversion limit
@@ -115,10 +111,7 @@ class RingSpec:
             raise ModulusTooLarge(
                 f"a modulus of {len(digits)} digits is too large to decide "
                 f"primality (limit {_MR_LIMIT})")
-        p = int(digits or "0")
-        if m.group(3) is not None:
-            return cls.extension(p, m.group(3))
-        return cls.prime_field(p)
+        return cls(int(digits or "0"), m.group(3))
 
     def __str__(self) -> str:
         if self.kind == INTEGERS:

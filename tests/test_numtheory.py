@@ -41,6 +41,16 @@ def test_is_prime_large():
         is_prime(2**89 - 1)
 
 
+def test_a_modulus_must_be_an_int():
+    # 7.0 and True compare equal to ints; only their type tells them apart
+    for call, name in ((lambda: is_prime(7.0), "float"),
+                       (lambda: is_prime(True), "bool"),
+                       (lambda: binom_mod_p(6, 1, 5.0), "float"),
+                       (lambda: lucas_factors(6, 1, 5.0), "float")):
+        with pytest.raises(TypeError, match=f"got {name}$"):
+            call()
+
+
 def test_base_p_digits_examples():
     assert base_p_digits(0, 3) == ()
     assert base_p_digits(10, 2) == (0, 1, 0, 1)
