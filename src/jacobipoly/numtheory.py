@@ -61,6 +61,14 @@ def _require_prime(p: int) -> None:
         raise NotPrime(f"modulus {p} is not prime")
 
 
+def _require_ints(n: int, m: int) -> None:
+    # called only when type() finds a non-int: a bool passes for 0 or 1 in
+    # the digit loops, and a float fails inside math.comb
+    for x in (n, m):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"n and m must be ints, got {type(x).__name__}")
+
+
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     """Expand n >= 0 in base p.  Zero expands to the empty digit vector."""
     return tuple(ni for ni, _, _ in lucas_factors(n, 0, p))
@@ -82,6 +90,8 @@ def lucas_factors(n: int, m: int, p: int) -> list[tuple[int, int, int]]:
     """Digitwise breakdown of C(n, m) mod p: one (n_i, m_i, C(n_i, m_i) mod p)
     triple per base-p position, padded with zero digits on the shorter side."""
     _require_prime(p)
+    if type(n) is not int or type(m) is not int:
+        _require_ints(n, m)
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     factors = []
@@ -97,6 +107,8 @@ def lucas_factors(n: int, m: int, p: int) -> list[tuple[int, int, int]]:
 def binom_mod_p(n: int, m: int, p: int) -> int:
     """C(n, m) mod p via the digitwise product of small binomials."""
     _require_prime(p)
+    if type(n) is not int or type(m) is not int:
+        _require_ints(n, m)
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     out = 1

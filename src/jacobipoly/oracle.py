@@ -21,7 +21,9 @@ every coefficient is zero, and each one still goes through the formal
 `defect`, so the search only ever rejects candidates.  The search sets the
 x-heavy positions first, so J2 and J5, whose terms mostly nest in y, are
 searched as the swap images of J1 and J6 (`_SWAP_IMAGE`), and `swap` turns
-each leaf back into P.
+each leaf back into P.  The generic defect depends only on the degree cap,
+the form and p, so it is expanded once per such key, and the last four are
+kept (`_defect_coefficients`) as tuples, which no search can change.
 
 The search bounds its own work: the values it tries plus the terms it
 rewrites.  Past `_MAX_SEARCH_WORK` units it raises `BudgetExceeded`.  It
@@ -191,7 +193,7 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
     monomials[n] within the degree cap, as its nonzero coefficients, keyed
     by (x, y, z) exponent triples.
 
-    A coefficient is a list of (int, monomial) terms, a polynomial in the
+    A coefficient is a tuple of (int, monomial) terms, a polynomial in the
     c_n.  A monomial holds the exponent of c_n in its bits from n*_EXP_BITS
     up, so the product of two monomials is their sum: (3, 1 | 2 << 2 *
     _EXP_BITS) is 3*c_0*c_2^2.  Integers are reduced mod p as they are
@@ -221,15 +223,25 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
              for n, mono in enumerate(monomials)}
     acc = _compose(form, terms, {0: 1}, mul, functools.partial(mul, {0: -1}),
                    add)
-    return {e: [(v, m) for m, v in f.items()] for e, f in acc.items()}
+    return {e: tuple((v, m) for m, v in f.items()) for e, f in acc.items()}
+
+
+# at degree 4 an entry holds 26-34 MiB (1.2 MiB over zp:3)
+@functools.lru_cache(maxsize=4)
+def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
+    """`_generic_defect`'s coefficients, keyed by the degree cap of the
+    monomials, the form and p.  They are tuples: the search only files and
+    pops them, and builds new lists when it rewrites."""
+    return tuple(_generic_defect(monomials, form, p).values())
 
 
 def _search(space: EnumSpace, form: EquationForm):
     """The raw coefficient tuples of the space at which every coefficient
     of the generic defect is zero in the ring, in odometer order, and the
     number of nodes visited: the values tried at each position, pruned or
-    not.  Raises `BudgetExceeded` once the nodes plus the terms rewritten
-    pass `_MAX_SEARCH_WORK`."""
+    not.  It starts from the cached `_defect_coefficients` of the space's
+    degree cap, the form and p.  Raises `BudgetExceeded` once the nodes
+    plus the terms rewritten pass `_MAX_SEARCH_WORK`."""
     p = space.spec.characteristic
     values = space.coefficient_values
     n = len(space.monomials)
@@ -252,7 +264,7 @@ def _search(space: EnumSpace, form: EquationForm):
         filed.append(k)
         return True
 
-    for terms in _generic_defect(space.monomials, form, p).values():
+    for terms in _defect_coefficients(space.monomials, form, p):
         file(terms)  # every term has a c_n, so none is a constant
     combo = [0] * n
     leaves = []

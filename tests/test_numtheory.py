@@ -51,6 +51,22 @@ def test_a_modulus_must_be_an_int():
             call()
 
 
+def test_binomial_arguments_must_be_ints():
+    # True would pass for C(1, 1) and 6.0 would fail inside math.comb
+    for call, name in ((lambda: binom_mod_p(True, 1, 5), "bool"),
+                       (lambda: binom_mod_p(6.0, 1, 5), "float"),
+                       (lambda: binom_mod_p(6, False, 5), "bool"),
+                       (lambda: lucas_factors(6, 1.0, 5), "float"),
+                       (lambda: lucas_factors(True, 0, 5), "bool")):
+        with pytest.raises(TypeError, match=f"ints, got {name}$"):
+            call()
+    # an int subclass that is no bool is an int
+    class Count(int):
+        pass
+    assert binom_mod_p(Count(6), Count(1), 5) == 1
+    assert lucas_factors(Count(6), 1, 5) == [(1, 1, 1), (1, 0, 1)]
+
+
 def test_base_p_digits_examples():
     assert base_p_digits(0, 3) == ()
     assert base_p_digits(10, 2) == (0, 1, 0, 1)

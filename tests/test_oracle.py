@@ -314,8 +314,9 @@ def test_degree_four_scans_agree_with_the_families():
 
 def test_scan_memory_is_flat():
     # 65 536 candidates: neither the odometer nor a list of candidates per
-    # prefix is held in memory
+    # prefix is held in memory.  The generic defect is expanded in the trace
     space = EnumSpace(F2, 3)
+    oracle._defect_coefficients.cache_clear()
     tracemalloc.start()
     try:
         rep = enumerate_solutions(space, EquationForm.J1)
@@ -324,3 +325,55 @@ def test_scan_memory_is_flat():
         tracemalloc.stop()
     assert rep.agreement and space.candidate_count == 65536
     assert peak < 2**20
+
+
+def test_the_memo_holds_the_generic_defect_as_tuples():
+    oracle._defect_coefficients.cache_clear()
+    for space, form in ((EnumSpace(F3, 2), EquationForm.J1),
+                        (EnumSpace(F3, 2), EquationForm.J6),
+                        (EnumSpace(Z, 1, 6), EquationForm.J1)):
+        p = space.spec.characteristic
+        entry = oracle._defect_coefficients(space.monomials, form, p)
+        assert list(entry) == list(
+            oracle._generic_defect(space.monomials, form, p).values())
+        assert type(entry) is tuple
+        for terms in entry:
+            assert type(terms) is tuple and {type(t) for t in terms} == {tuple}
+
+
+def test_repeated_scans_read_one_expansion():
+    # the same space scanned twice gives the same report from one entry,
+    # and J2, searched as J1's swap image, reads J1's entry
+    info = oracle._defect_coefficients.cache_info
+    oracle._defect_coefficients.cache_clear()
+    space = EnumSpace(F3, 2)
+    first = enumerate_solutions(space, EquationForm.J1)
+    assert (info().hits, info().misses) == (0, 1)
+    assert enumerate_solutions(space, EquationForm.J1) == first
+    assert (info().hits, info().misses) == (1, 1)
+    assert enumerate_solutions(space, EquationForm.J2).nodes == first.nodes
+    assert (info().hits, info().misses) == (2, 1)
+
+
+def test_a_refused_search_leaves_the_memo_intact(monkeypatch):
+    space, form = EnumSpace(F5, 3), EquationForm.J1
+    oracle._defect_coefficients.cache_clear()
+    cold = enumerate_solutions(space, form)
+    oracle._defect_coefficients.cache_clear()
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_WORK", 10_000)
+    with pytest.raises(BudgetExceeded, match="budget"):
+        enumerate_solutions(space, form)
+    monkeypatch.undo()
+    hits = oracle._defect_coefficients.cache_info().hits
+    assert enumerate_solutions(space, form) == cold
+    assert oracle._defect_coefficients.cache_info().hits == hits + 1
+    assert list(oracle._defect_coefficients(space.monomials, form, 5)) == list(
+        oracle._generic_defect(space.monomials, form, 5).values())
+
+
+def test_the_memo_keeps_at_most_four_entries():
+    oracle._defect_coefficients.cache_clear()
+    for p in (2, 3, 5, 7, 11):
+        enumerate_solutions(EnumSpace(RingSpec(p), 1), EquationForm.J6)
+    assert oracle._defect_coefficients.cache_info().misses == 5
+    assert oracle._defect_coefficients.cache_info().currsize <= 4
