@@ -17,8 +17,9 @@ identity on coefficients: finite fields conflate distinct polynomials as
 functions, so no evaluation at points can accept one.
 
 The one expansion of the compositions, `_compose`, takes any coefficient
-ring: `defect` runs it over P's own, and the exhaustive scan over the
-integer polynomials (mod p) in the coefficients of a generic P.
+ring: `defect` runs it over the integer lift of P's ring
+(`RingSpec._lift`: F_p[t] packed into ints), and the exhaustive scan over
+the integer polynomials (mod p) in the coefficients of a generic P.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import functools
 import math
 
 from .errors import BudgetExceeded, WrongArity
-from .poly import MultiPoly, _accumulate
+from .poly import MultiPoly
 
 
 class EquationForm(enum.Enum):
@@ -61,7 +62,8 @@ _XYZ = ("x", "y", "z")
 # size 0, before any is computed.  A dense P of degree 5 per variable with
 # constant coefficients is at 121 680.  With coefficients of degree at most
 # 4, the slowest accepted shapes measured take about 0.35 s on a 2.1 GHz
-# Xeon.
+# Xeon: x^272 + y over F_q[t], q the largest prime below _MR_LIMIT, whose
+# lifted coefficients grow unreduced to about 22 000 bits.
 _MAX_DEFECT_WORK = 150_000
 
 
@@ -108,6 +110,10 @@ def _compose(form: EquationForm, terms: dict, one, mul, neg, add) -> dict:
     return acc
 
 
+def _add_int(out: dict, key, v: int) -> None:
+    out[key] = out.get(key, 0) + v
+
+
 def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
     """The form's defect polynomial of P, over (x, y, z)."""
     _require_xy(p)
@@ -116,9 +122,14 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
     dx, dy = map(max, zip((0, 0), *terms))
     dmax, n = max(dx, dy), len(terms)
     # P^k has coefficients of size up to k*s, so one of its ring operations
-    # counts as 1 + dmax*s*(s + 512)/2048 operations of size 0.  Products of
-    # long F_p[t] coefficients cost more than this, about dmax*s*s/64, but a
-    # 15 000-bit int, whose products are fast, must still pass.
+    # counts as 1 + dmax*s*(s + 512)/2048 operations of size 0.  Over F_p[t]
+    # an operation is one on ints of k*s + 1 packed slots, each wide enough
+    # for 3*(p-1)*S^(dmax+1), S the sum of P's residues (`RingSpec._lift`),
+    # so long coefficients cost more as p grows: at the bound, a dense P of
+    # degree 2 with coefficients of degree 381 takes 0.13 s over zp:3[t],
+    # 0.2-0.5 s over zp:1000003[t] and 2.3 s over F_q[t].  The factor is
+    # the same for every kind, and weighting it to F_q[t]'s cost would
+    # refuse a 15 000-bit int, whose products are fast, which must pass.
     s = spec._size(*terms.values())
     work = n * dmax * (1 + dmax * s * (s + 512) // 2048)
     # P^dmax has at most (dmax*dx+1)(dmax*dy+1) terms by degree, and at most
@@ -127,9 +138,12 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
             and work * math.comb(dmax + n - 1, dmax) > _MAX_DEFECT_WORK):
         raise BudgetExceeded(f"the powers of this {n}-term polynomial take "
                              f"more than {_MAX_DEFECT_WORK} ring operations")
-    acc = _compose(form, terms, spec._rone, spec._rmul, spec._rneg,
-                   functools.partial(_accumulate, spec))
-    return MultiPoly._from_raw(spec, _XYZ, acc)
+    lifts, mul, minus_one, back = spec._lift(terms.values(), dmax)
+    acc = _compose(form, dict(zip(terms, lifts)), 1, mul,
+                   functools.partial(mul, minus_one), _add_int)
+    zero = spec._rzero
+    return MultiPoly._from_raw(spec, _XYZ, {
+        e: r for e, v in acc.items() if (r := back(v)) != zero})
 
 
 def satisfies(p: MultiPoly, form: EquationForm) -> bool:

@@ -20,6 +20,7 @@ Text syntax, round-tripped by parse()/str(): ``int``, ``zp:<p>``,
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import (CoefficientTooLarge, ModulusTooLarge, ParseError,
@@ -185,6 +186,63 @@ class RingSpec:
 
     def _rpow(self, a, e: int):
         return _square_multiply(self._rmul, self._rone, a, e)
+
+    def _lift(self, raws, dmax: int):
+        """The integer lift in which `jacobi.defect` composes a P of degree
+        at most dmax per variable with these raw coefficients: returns the
+        lifts, their product, the lift of -1 and the map back to raw
+        values, which may give zero.  Lifts add with plain int `+`.
+
+        Over int and F_p a value lifts to itself, the product is the ring's
+        and back reduces a sum mod p.  Over F_p[t] a value packs at
+        t = 2^w, one w-bit slot per residue, and the product is one int
+        product.
+        """
+        if self.kind == INTEGERS:
+            return raws, self._rmul, -1, lambda a: a
+        p = self.p
+        if self.kind == PRIME_FIELD:
+            return raws, self._rmul, p - 1, lambda a: a % p
+        raws = list(raws)
+        # No slot overflows, so each slot is the coefficient of the same
+        # product or sum taken over Z[t].  Every lift has slots in [0, p)
+        # and -1 lifts to p - 1, so no slot is negative.  For nonnegative
+        # coefficients their total is multiplicative, so with S the total
+        # of P's (S = 0 only for P = 0) the coefficients of P^k (k <= dmax)
+        # total at most S^k, those of a base, the sum of c*P^i over P's
+        # coefficients c, at most S^(dmax+1), and those of a sum of three
+        # bases, a negated one multiplied by p - 1, at most
+        # 3*(p-1)*S^(dmax+1) < 2^w.
+        w = max(1, (3 * (p - 1) * sum(map(sum, raws)) ** (dmax + 1))
+                .bit_length())
+        mask = (1 << w) - 1
+
+        # Values of more than 32 slots are split in halves first, since
+        # packing or unpacking them slot by slot copies them once per slot.
+        def pack(a):
+            if len(a) > 32:
+                h = len(a) // 2
+                return pack(a[:h]) | pack(a[h:]) << h * w
+            out = 0
+            for c in reversed(a):
+                out = out << w | c
+            return out
+
+        def residues(a, n):
+            if n > 32:
+                h = n // 2
+                return (residues(a & (1 << h * w) - 1, h)
+                        + residues(a >> h * w, n - h))
+            out = []
+            while a:
+                out.append((a & mask) % p)
+                a >>= w
+            return out + [0] * (n - len(out))
+
+        def back(a):
+            return _ext_trim(residues(a, a.bit_length() // w + 1))
+
+        return list(map(pack, raws)), operator.mul, p - 1, back
 
     def _literal(self, raw) -> str:
         """Canonical literal text of a raw value, without outer parentheses."""

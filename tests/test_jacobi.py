@@ -22,6 +22,7 @@ from jacobipoly import (
     swap,
 )
 from jacobipoly.errors import BudgetExceeded, WrongArity
+from jacobipoly.numtheory import _MR_LIMIT, is_prime
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -67,10 +68,62 @@ def random_inputs(rng, specs):
                 yield random_poly(spec, XY, rng, max_deg)
 
 
+def largest_prime_field():
+    """F_q for the largest prime q that a ring accepts."""
+    q = _MR_LIMIT - 1
+    while not is_prime(q):
+        q -= 1
+    return RingSpec.prime_field(q)
+
+
+def maximal_inputs():
+    """Dense P of degree <= 2 per variable whose every coefficient is
+    maximal: p - 1 in each of 1-4 t-slots over F_p[t], +-2^4096 over int
+    (up to degree 1, where the defect bound still accepts it) and q - 1
+    over the largest prime field."""
+    def dense(spec, d, c):
+        return MultiPoly(spec, XY, {(i, j): c for i in range(d + 1)
+                                    for j in range(d + 1)})
+
+    for p in (2, 3, 1000003):
+        spec = RingSpec.extension(p, "t")
+        for slots in range(1, 5):
+            for d in range(3):
+                yield dense(spec, d, [p - 1] * slots)
+    for sign in (1, -1):
+        for d in range(2):
+            yield dense(Z, d, sign << 4096)
+    fq = largest_prime_field()
+    for d in range(3):
+        yield dense(fq, d, fq.p - 1)
+
+
 def test_defect_matches_naive_expansion(rng):
-    for p in random_inputs(rng, (Z, F2, F3, F5, E3, F7, E5)):
+    for p in itertools.chain(random_inputs(rng, (Z, F2, F3, F5, E3, F7, E5)),
+                             maximal_inputs()):
         for form in EquationForm:
             assert defect(p, form) == naive_defect(p, form), (p.spec, p, form)
+
+
+def test_long_coefficients_specialize_to_the_prime_field():
+    # t-coefficients of degree 1 024, dense and with zeros inside: the
+    # defect over F_p[t], evaluated at t = a, is the F_p defect of P
+    # evaluated at t = a
+    ext = RingSpec.extension(1000003, "t")
+    fp = RingSpec.prime_field(ext.p)
+
+    def at(q, a):
+        return MultiPoly(fp, q.vars, {
+            m.exponents: sum(c * pow(a, i, fp.p)
+                             for i, c in enumerate(v.value))
+            for m, v in q.terms()})
+
+    for c in ([1] * 1025, [1] + [0] * 1023 + [1]):
+        p = MultiPoly(ext, XY, {(4, 0): c, (0, 1): 1})
+        for form in (EquationForm.J1, EquationForm.J5):
+            d = defect(p, form)
+            for a in (2, 7, fp.p - 1):
+                assert at(d, a) == defect(at(p, a), form), (form, a)
 
 
 def test_defect_frozen_examples():
