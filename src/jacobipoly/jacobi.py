@@ -25,7 +25,6 @@ the integer polynomials (mod p) in the coefficients of a generic P.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 
 from .errors import BudgetExceeded, WrongArity
@@ -73,12 +72,12 @@ def _require_xy(p: MultiPoly) -> None:
             f"expected a bivariate polynomial over {_XY}, got {p.vars}")
 
 
-def _compose(form: EquationForm, terms: dict, one, mul, neg, add) -> dict:
+def _compose(form: EquationForm, terms, one, minus_one, mul, add) -> dict:
     """The form's defect of P = sum of c x^i y^j, terms {(i, j): c}, keyed
     by (x, y, z) exponent triples.
 
-    The c lie in any commutative ring, given by its one, product mul,
-    negation neg and add(out, key, v), which adds v into out[key] in place.
+    The c lie in any commutative ring, given by its one and minus_one, its
+    product mul and add(out, key, v), which adds v into out[key] in place.
     The powers of P are computed once, each base the form uses is expanded
     once from them, and each term adds its base permuted to its arguments.
     """
@@ -106,7 +105,7 @@ def _compose(form: EquationForm, terms: dict, one, mul, neg, add) -> dict:
         # the base slots (u, v, w) = (0, 1, 2) that x, y and z fill
         i, j, k = (args.index(v) for v in "xyz")
         for e, v in bases[base].items():
-            add(acc, (e[i], e[j], e[k]), v if sign > 0 else neg(v))
+            add(acc, (e[i], e[j], e[k]), v if sign > 0 else mul(minus_one, v))
     return acc
 
 
@@ -128,7 +127,7 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
     # so long coefficients cost more as p grows: at the bound, a dense P of
     # degree 2 with coefficients of degree 381 takes 0.13 s over zp:3[t],
     # 0.2-0.5 s over zp:1000003[t] and 2.3 s over F_q[t].  The factor is
-    # the same for every kind, and weighting it to F_q[t]'s cost would
+    # the same for every ring, and weighting it to F_q[t]'s cost would
     # refuse a 15 000-bit int, whose products are fast, which must pass.
     s = spec._size(*terms.values())
     work = n * dmax * (1 + dmax * s * (s + 512) // 2048)
@@ -139,8 +138,7 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
         raise BudgetExceeded(f"the powers of this {n}-term polynomial take "
                              f"more than {_MAX_DEFECT_WORK} ring operations")
     lifts, mul, minus_one, back = spec._lift(terms.values(), dmax)
-    acc = _compose(form, dict(zip(terms, lifts)), 1, mul,
-                   functools.partial(mul, minus_one), _add_int)
+    acc = _compose(form, dict(zip(terms, lifts)), 1, minus_one, mul, _add_int)
     zero = spec._rzero
     return MultiPoly._from_raw(spec, _XYZ, {
         e: r for e, v in acc.items() if (r := back(v)) != zero})

@@ -41,7 +41,7 @@ from .classify import classify, family_members
 from .errors import BudgetExceeded, UnsupportedSpec
 from .jacobi import _XY, EquationForm, _compose, defect, swap
 from .poly import MultiPoly, _grade
-from .rings import EXTENSION, INTEGERS, RingSpec
+from .rings import RingSpec
 
 # The search first expands the generic defect of the degree cap.  At degree
 # 5 that has 13.5 M terms and takes gigabytes, so larger caps are refused.
@@ -77,13 +77,13 @@ class EnumSpace:
             raise TypeError("max_deg_per_var and coeff_bound must be ints")
         if not isinstance(self.spec, RingSpec):
             raise TypeError("spec must be a RingSpec")
-        if self.spec.kind == EXTENSION:
+        if self.spec.var_name is not None:
             raise UnsupportedSpec(
                 "exhaustive enumeration over an extension ring is not "
                 "supported (the coefficient set is infinite)")
         if self.max_deg_per_var < 0:
             raise ValueError("max_deg_per_var must be nonnegative")
-        if self.spec.kind == INTEGERS:
+        if self.spec.p is None:
             if self.coeff_bound is None or self.coeff_bound < 1:
                 raise ValueError(
                     "a positive coeff_bound is required over the integers")
@@ -112,7 +112,7 @@ class EnumSpace:
     @property
     def coefficient_values(self) -> range:
         """Raw coefficient values in their documented odometer order."""
-        if self.spec.kind == INTEGERS:
+        if self.spec.p is None:
             b = self.coeff_bound
             return range(-b, b + 1)
         return range(self.spec.p)
@@ -221,8 +221,7 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
 
     terms = {mono: {1 << _EXP_BITS * n: 1}
              for n, mono in enumerate(monomials)}
-    acc = _compose(form, terms, {0: 1}, mul, functools.partial(mul, {0: -1}),
-                   add)
+    acc = _compose(form, terms, {0: 1}, {0: -1}, mul, add)
     return {e: tuple((v, m) for m, v in f.items()) for e, f in acc.items()}
 
 

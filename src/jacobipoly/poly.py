@@ -40,8 +40,7 @@ from .errors import (
     UnknownVariable,
     VarListMismatch,
 )
-from .rings import (_IDENT, EXTENSION, INTEGERS, RingElement, RingSpec,
-                    _square_multiply)
+from .rings import _IDENT, RingElement, RingSpec, _square_multiply
 
 
 # Largest floor(log2 |a|) * e over int, or degree of a^e over F_p[t], that a
@@ -97,7 +96,7 @@ def _check_vars(spec: RingSpec, vars) -> tuple[str, ...]:
     for v in vars:
         if not isinstance(v, str) or not _IDENT.fullmatch(v):
             raise VarListMismatch(f"bad variable name {v!r}")
-    if spec.kind == EXTENSION and spec.var_name in vars:
+    if spec.var_name in vars:
         raise VarListMismatch(
             f"variable {spec.var_name!r} collides with the extension variable")
     return vars
@@ -392,9 +391,9 @@ class MultiPoly:
         for m in sorted(self._terms, key=_grade, reverse=True):
             raw = self._terms[m]
             body = _mono_body(m, self.vars)
-            neg = spec.kind == INTEGERS and raw < 0
+            neg = spec.p is None and raw < 0
             coeff = spec._literal(-raw if neg else raw)
-            if spec.kind == EXTENSION and len(raw) > 1:
+            if spec.var_name is not None and len(raw) > 1:
                 coeff = f"({coeff})"
             elif coeff == "1" and body:
                 coeff = ""
@@ -474,7 +473,7 @@ class _Parser:
         if kind == "int":
             raw = spec._coerce_raw(value)
         elif kind == "(":
-            if spec.kind != EXTENSION:
+            if spec.var_name is None:
                 raise CoefficientNotInRing(
                     f"parenthesized coefficients are not valid over {spec}")
             if self.depth == _MAX_NESTING:
@@ -491,7 +490,7 @@ class _Parser:
             raw = (0, 1)
         elif kind == "name":
             if value not in self.vars:
-                if spec.kind == EXTENSION and value == spec.var_name:
+                if value == spec.var_name:
                     raise UnknownVariable(
                         f"extension variable {value!r} must appear inside "
                         "parentheses")
@@ -513,7 +512,7 @@ class _Parser:
         # degrees add up in a product; int products stay unbounded, since
         # their multiplication is fast and their printing is checked
         size = spec._size(coeff) + spec._size(raw)
-        if spec.kind == EXTENSION and size > _MAX_POWER_SIZE:
+        if spec.var_name is not None and size > _MAX_POWER_SIZE:
             raise ParseError(f"coefficient product too large: degree {size} "
                              f"exceeds {_MAX_POWER_SIZE}", pos)
         return spec._rmul(coeff, raw)

@@ -27,10 +27,6 @@ from .errors import (CoefficientTooLarge, ModulusTooLarge, ParseError,
                      SpecMismatch)
 from .numtheory import _MR_LIMIT, _require_prime
 
-INTEGERS = "int"
-PRIME_FIELD = "zp"
-EXTENSION = "zp_ext"
-
 # The one rule for variable names, in ring specs and polynomials alike.
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RING_TEXT = re.compile(rf"int|zp:([0-9]+)(\[({_IDENT.pattern})\])?")
@@ -43,10 +39,10 @@ def _ext_trim(coeffs: list[int]) -> tuple[int, ...]:
 
 
 class RingSpec:
-    """Identity and arithmetic of one coefficient domain."""
+    """Identity and arithmetic of one coefficient domain.  A ring is its
+    (p, var_name): the integers without a p, F_p, or F_p[var_name]."""
 
-    __slots__ = ("kind", "p", "var_name", "_radd", "_rmul", "_rneg",
-                 "_rzero", "_rone")
+    __slots__ = ("p", "var_name", "_radd", "_rmul", "_rneg", "_rzero", "_rone")
 
     def __init__(self, p: int | None = None, var_name: str | None = None):
         if p is not None:
@@ -60,17 +56,15 @@ class RingSpec:
                                 f"{type(var_name).__name__}")
             if not _IDENT.fullmatch(var_name):
                 raise ValueError("extension needs an identifier variable name")
-        self.kind = kind = (INTEGERS if p is None else
-                            PRIME_FIELD if var_name is None else EXTENSION)
         self.p = p
         self.var_name = var_name
 
-        self._rzero, self._rone = ((), (1,)) if kind == EXTENSION else (0, 1)
-        if kind == INTEGERS:
-            self._radd = lambda a, b: a + b
-            self._rmul = lambda a, b: a * b
-            self._rneg = lambda a: -a
-        elif kind == PRIME_FIELD:
+        self._rzero, self._rone = (0, 1) if var_name is None else ((), (1,))
+        if p is None:
+            self._radd = operator.add
+            self._rmul = operator.mul
+            self._rneg = operator.neg
+        elif var_name is None:
             self._radd = lambda a, b, p=p: (a + b) % p
             self._rmul = lambda a, b, p=p: a * b % p
             self._rneg = lambda a, p=p: -a % p
@@ -115,9 +109,9 @@ class RingSpec:
         return cls(int(digits or "0"), m.group(3))
 
     def __str__(self) -> str:
-        if self.kind == INTEGERS:
+        if self.p is None:
             return "int"
-        if self.kind == PRIME_FIELD:
+        if self.var_name is None:
             return f"zp:{self.p}"
         return f"zp:{self.p}[{self.var_name}]"
 
@@ -134,7 +128,7 @@ class RingSpec:
 
     @property
     def characteristic(self) -> int:
-        return 0 if self.kind == INTEGERS else self.p
+        return self.p or 0
 
     # -- elements ---------------------------------------------------------
 
@@ -146,14 +140,14 @@ class RingSpec:
             if value.spec is not self and value.spec != self:
                 raise SpecMismatch(f"element of {value.spec} used in {self}")
             return value.value
-        coeffs = (value if self.kind == EXTENSION
+        coeffs = (value if self.var_name is not None
                   and isinstance(value, (list, tuple)) else (value,))
         for c in coeffs:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise TypeError(f"cannot interpret {c!r} in {self}")
-        if self.kind == INTEGERS:
+        if self.p is None:
             return value
-        if self.kind == PRIME_FIELD:
+        if self.var_name is None:
             return value % self.p
         return _ext_trim([c % self.p for c in coeffs])
 
@@ -170,7 +164,7 @@ class RingSpec:
 
     def generator(self) -> RingElement:
         """The extension variable as a ring element."""
-        if self.kind != EXTENSION:
+        if self.var_name is None:
             raise ValueError(f"{self} has no generator")
         return RingElement(self, (0, 1))
 
@@ -178,9 +172,9 @@ class RingSpec:
         """The largest size of the raw values: floor(log2 |a|) over int and
         the degree of a over F_p[t] (-1 for zero in both), 0 over F_p.  The
         work bounds of the parser and of `defect` count this size."""
-        if self.kind == INTEGERS:
+        if self.p is None:
             return max(map(abs, raws), default=0).bit_length() - 1
-        if self.kind == EXTENSION:
+        if self.var_name is not None:
             return max(map(len, raws), default=0) - 1
         return 0
 
@@ -193,16 +187,14 @@ class RingSpec:
         lifts, their product, the lift of -1 and the map back to raw
         values, which may give zero.  Lifts add with plain int `+`.
 
-        Over int and F_p a value lifts to itself, the product is the ring's
-        and back reduces a sum mod p.  Over F_p[t] a value packs at
-        t = 2^w, one w-bit slot per residue, and the product is one int
-        product.
+        Over int and F_p a value, -1 too, lifts to itself and the product
+        is the ring's, which reduces into [0, p) over F_p; back reduces a
+        sum mod p when there is a p.  Over F_p[t] a value packs at t = 2^w,
+        one w-bit slot per residue, and the product is one int product.
         """
-        if self.kind == INTEGERS:
-            return raws, self._rmul, -1, lambda a: a
         p = self.p
-        if self.kind == PRIME_FIELD:
-            return raws, self._rmul, p - 1, lambda a: a % p
+        if self.var_name is None:
+            return raws, self._rmul, -1, lambda a: a % p if p else a
         raws = list(raws)
         # No slot overflows, so each slot is the coefficient of the same
         # product or sum taken over Z[t].  Every lift has slots in [0, p)
@@ -246,7 +238,7 @@ class RingSpec:
 
     def _literal(self, raw) -> str:
         """Canonical literal text of a raw value, without outer parentheses."""
-        if self.kind != EXTENSION:
+        if self.var_name is None:
             try:
                 return str(raw)
             except ValueError:  # past the interpreter's int-to-text limit
@@ -298,7 +290,8 @@ def _ext_mul(a, b, p):
     for i, c in enumerate(a):
         if c:
             for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % p
+                if d:
+                    out[i + j] = (out[i + j] + c * d) % p
     return tuple(out)
 
 

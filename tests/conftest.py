@@ -5,13 +5,12 @@ import pytest
 
 from jacobipoly import EnumSpace, EquationForm, MultiPoly, RingSpec, \
     enumerate_solutions
-from jacobipoly.rings import INTEGERS, PRIME_FIELD
 
 
 def random_element(spec, rng):
-    if spec.kind == INTEGERS:
+    if spec.p is None:
         return spec.element(rng.randrange(-30, 31))
-    if spec.kind == PRIME_FIELD:
+    if spec.var_name is None:
         return spec.element(rng.randrange(spec.p))
     return spec.element([rng.randrange(spec.p) for _ in range(rng.randrange(5))])
 

@@ -8,7 +8,6 @@ from conftest import random_element
 from jacobipoly import RingSpec
 from jacobipoly.errors import (ModulusTooLarge, NotPrime, ParseError,
                                SpecMismatch)
-from jacobipoly.rings import EXTENSION, INTEGERS, PRIME_FIELD
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -46,8 +45,9 @@ def test_constructor_rejects_bad_parameters():
     assert RingSpec() == RingSpec.integers()
     assert RingSpec(3) == RingSpec.prime_field(3)
     assert RingSpec(3, "t") == RingSpec.extension(3, "t")
-    assert [RingSpec().kind, RingSpec(3).kind, RingSpec(3, "t").kind] == \
-        [INTEGERS, PRIME_FIELD, EXTENSION]
+    rings = (RingSpec(), RingSpec(3), RingSpec(3, "t"))
+    assert [str(r) for r in rings] == ["int", "zp:3", "zp:3[t]"]
+    assert [r.characteristic for r in rings] == [0, 3, 3]
     assert len({RingSpec(), RingSpec(3), RingSpec(3, "t"),
                 RingSpec(3, "u")}) == 4
     for args, message in (
