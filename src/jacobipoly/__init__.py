@@ -24,7 +24,7 @@ from .classify import (
     system_check,
 )
 from .errors import AlgebraError
-from .jacobi import EquationForm, defect, satisfies, swap
+from .jacobi import EquationForm, defect, least_defect_term, satisfies, swap
 from .numtheory import (
     Cor2aReport,
     base_p_digits,
@@ -78,6 +78,7 @@ __all__ = [
     "in_s_m",
     "is_prime",
     "is_s1_by_divisibility",
+    "least_defect_term",
     "lucas_factors",
     "make_family",
     "predicted_solutions",

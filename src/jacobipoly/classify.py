@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AlgebraError, CharMismatch, ConditionViolated
-from .jacobi import _XY, EquationForm, defect, _require_xy
+from .jacobi import _XY, EquationForm, _require_xy, least_defect_term
 from .poly import MultiPoly, Monomial
 from .rings import RingElement, RingSpec
 
@@ -227,7 +227,7 @@ def classify(p: MultiPoly) -> ClassificationResult:
                     raise AlgebraError(
                         f"internal: {family} does not rebuild {p}")
                 return ClassificationResult(family=family, witness=None)
-    lt = defect(p, EquationForm.J1).least_term()
+    lt = least_defect_term(p, EquationForm.J1)
     if lt is None:
         raise AlgebraError(
             "internal: J1 defect vanished for a polynomial no listed family "

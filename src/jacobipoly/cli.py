@@ -24,7 +24,7 @@ import time
 
 from .classify import _families, classify, constant_solutions
 from .errors import AlgebraError
-from .jacobi import _XYZ, EquationForm, defect
+from .jacobi import _XYZ, EquationForm, least_defect_term
 from .numtheory import lucas_factors
 from .oracle import EnumSpace, enumerate_solutions
 from .poly import MultiPoly
@@ -54,12 +54,12 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 def _cmd_verify(args) -> int:
     p = MultiPoly.parse(args.poly, RingSpec.parse(args.ring))
     form = EquationForm.from_tag(args.form)
-    d = defect(p, form)
-    if d.is_zero:
+    least = least_defect_term(p, form)
+    if least is None:
         _emit(args, {"form": form.value, "verdict": "satisfied"},
               [f"{form.value} satisfied"])
         return 0
-    witness = _witness_payload(d.least_term())
+    witness = _witness_payload(least)
     _emit(args,
           {"form": form.value, "verdict": "violated", "witness": witness},
           [f"{form.value} violated, witness {witness['term']}"])

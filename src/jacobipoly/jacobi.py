@@ -20,15 +20,21 @@ The one expansion of the compositions, `_compose`, takes any coefficient
 ring: `defect` runs it over the integer lift of P's ring
 (`RingSpec._lift`: F_p[t] packed into ints), and the exhaustive scan over
 the integer polynomials (mod p) in the coefficients of a generic P.
+`defect` maps every lifted coefficient back to the ring.  The witness that
+`verify` and `classify` print, `least_defect_term`, maps them back in
+graded-lex order only up to the first nonzero one, so a violation does not
+map back the whole defect; a zero defect is still mapped back in full.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 
 from .errors import BudgetExceeded, WrongArity
-from .poly import MultiPoly
+from .poly import Monomial, MultiPoly
+from .rings import RingElement
 
 
 class EquationForm(enum.Enum):
@@ -113,8 +119,10 @@ def _add_int(out: dict, key, v: int) -> None:
     out[key] = out.get(key, 0) + v
 
 
-def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
-    """The form's defect polynomial of P, over (x, y, z)."""
+def _lifted_defect(p: MultiPoly, form: EquationForm):
+    """The form's defect of P over the integer lift of its ring, keyed by
+    (x, y, z) exponent triples, and the map back to raw values, which may
+    give zero; refuses a P whose powers take too much work."""
     _require_xy(p)
     spec = p.spec
     terms = p._terms
@@ -139,14 +147,37 @@ def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
                              f"more than {_MAX_DEFECT_WORK} ring operations")
     lifts, mul, minus_one, back = spec._lift(terms.values(), dmax)
     acc = _compose(form, dict(zip(terms, lifts)), 1, minus_one, mul, _add_int)
-    zero = spec._rzero
-    return MultiPoly._from_raw(spec, _XYZ, {
+    return acc, back
+
+
+def defect(p: MultiPoly, form: EquationForm) -> MultiPoly:
+    """The form's defect polynomial of P, over (x, y, z)."""
+    acc, back = _lifted_defect(p, form)
+    zero = p.spec._rzero
+    return MultiPoly._from_raw(p.spec, _XYZ, {
         e: r for e, v in acc.items() if (r := back(v)) != zero})
+
+
+def least_defect_term(p: MultiPoly, form: EquationForm):
+    """The graded-lex least nonzero term of the form's defect of P, as
+    `defect(p, form).least_term()` gives it, or None when P satisfies the
+    form.  The lifted coefficients are mapped back in graded-lex order
+    and only until one is nonzero, so only a zero defect maps back all."""
+    acc, back = _lifted_defect(p, form)
+    zero = p.spec._rzero
+    # (total degree, exponents) is the graded-lex rank `poly._grade` gives
+    heap = list(zip(map(sum, acc), acc))
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[1]
+        if (r := back(acc[e])) != zero:
+            return Monomial(e), RingElement(p.spec, r)
+    return None
 
 
 def satisfies(p: MultiPoly, form: EquationForm) -> bool:
     """Whether the defect of P under the form is the zero polynomial."""
-    return not defect(p, form)
+    return least_defect_term(p, form) is None
 
 
 def swap(p: MultiPoly) -> MultiPoly:

@@ -508,7 +508,8 @@ class _Parser:
                 raise ParseError(
                     f"coefficient power too large: size {size} times "
                     f"exponent {e} exceeds {_MAX_POWER_SIZE}", caret)
-            raw = spec._rpow(raw, e)
+            # t^e is one monomial; squaring would build it in log2(e) products
+            raw = (0,) * e + (1,) if raw == (0, 1) else spec._rpow(raw, e)
         # degrees add up in a product; int products stay unbounded, since
         # their multiplication is fast and their printing is checked
         size = spec._size(coeff) + spec._size(raw)

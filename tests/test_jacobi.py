@@ -13,10 +13,12 @@ import pytest
 from conftest import random_element, random_poly
 from jacobipoly import (
     EquationForm,
+    Monomial,
     MultiPoly,
     RingSpec,
     defect,
     jacobi,
+    least_defect_term,
     oracle,
     satisfies,
     swap,
@@ -146,6 +148,37 @@ def test_satisfies_examples():
     assert not satisfies(MultiPoly.parse("x", Z), EquationForm.J1)
     assert not satisfies(MultiPoly.parse("x*y", Z), EquationForm.J1)
     assert satisfies(MultiPoly.parse("x*y", F3), EquationForm.J2)
+
+
+def test_least_defect_term_is_the_defects_least_term(rng):
+    E1000003 = RingSpec.extension(1000003, "t")
+    specs = (Z, F2, F3, E3, E1000003)
+    # a J1 solution per ring; F_2 has only the zero one
+    solutions = [MultiPoly.parse(text, spec) for text, spec in (
+        ("-2*x + 4*y", Z), ("x*y + x + y", F3), (GOLDEN, E3),
+        ("x + 500001*y", E1000003))]
+    inputs = [MultiPoly.zero(spec, XY) for spec in specs] + solutions
+    inputs += [random_poly(spec, XY, rng, max_deg, max_terms)
+               for spec in specs
+               for max_deg, max_terms in ((1, 4), (2, 9), (3, 6))
+               for _ in range(6)]
+    for p in inputs:
+        for form in EquationForm:
+            assert least_defect_term(p, form) == defect(p, form).least_term(), \
+                (p.spec, p, form)
+    for p in solutions:
+        assert least_defect_term(p, EquationForm.J1) is None
+    # the least lifted coefficient of x + 1's J1 defect over F_3 is nonzero
+    # as an int but zero in the ring, so the witness is the next one, z
+    p = MultiPoly.parse("x + 1", F3)
+    lifted, back = jacobi._lifted_defect(p, EquationForm.J1)
+    assert min(lifted, key=lambda e: (sum(e), e)) == (0, 0, 0)
+    assert lifted[0, 0, 0] == 6 and back(6) == 0
+    assert least_defect_term(p, EquationForm.J1) == (Monomial((0, 0, 1)),
+                                                     F3.one())
+    with pytest.raises(BudgetExceeded):
+        least_defect_term(MultiPoly.parse("x^100000 + y", Z),
+                          EquationForm.J1)
 
 
 def test_formal_identity_not_pointwise():
