@@ -7,26 +7,40 @@ vectors are little-endian (least significant digit first) throughout.
 stops at the first digit m_i > n_i and builds no list.  Read off
 `lucas_factors`, it took 2.3-2.6x as long, and a residue plus a breakdown
 per (n, m <= 200, p <= 7) 1.3-1.4x (Python 3.11, 2.1 GHz Xeon).
+
+`is_prime` is deterministic Miller-Rabin with the first k prime bases,
+k the fewest that are exact for its n: the first k primes leave no odd
+composite strong pseudoprime below psi_k (Jaeschke 1993), so a modulus
+near 10^8 runs 4 bases and one near 10^12 runs 5.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import ModulusTooLarge, NotInS2, NotPrime
 
 
-# Miller-Rabin with the first 13 primes as bases is exact below
-# psi_13 = _MR_LIMIT (Sorenson and Webster 2015); the bases are also the
-# primes up to 41.
+# Miller-Rabin with the first k primes as bases is exact below psi_k, the
+# least odd composite that is a strong pseudoprime to all of them
+# (Jaeschke 1993 up to psi_8, Jiang and Deng 2014 for psi_9 to psi_11,
+# Sorenson and Webster 2015 for psi_12 and psi_13 = _MR_LIMIT).  n = psi_k
+# itself needs base k + 1, so n takes the bases _MR_BASES[:bisect(_PSI, n)
+# + 1].  The bases are also the primes up to 41.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = frozenset(_MR_BASES)
 _MR_LIMIT = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051,
+        318665857834031151167461, _MR_LIMIT)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality check, exact for n < 3.3e24.
+    """Deterministic Miller-Rabin primality check, exact for n < 3.3e24
+    with as many bases as n needs.
 
     Raises ModulusTooLarge from there on rather than guess.
     """
@@ -43,7 +57,7 @@ def is_prime(n: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -89,7 +103,10 @@ def in_s_m(n: int, p: int, m: int) -> bool:
 def lucas_factors(n: int, m: int, p: int) -> list[tuple[int, int, int]]:
     """Digitwise breakdown of C(n, m) mod p: one (n_i, m_i, C(n_i, m_i) mod p)
     triple per base-p position, padded with zero digits on the shorter side."""
-    _require_prime(p)
+    # a small prime skips the call; the type test keeps 5.0 and True out,
+    # which the set would take for 5 and 1
+    if type(p) is not int or p not in _SMALL_PRIMES:
+        _require_prime(p)
     if type(n) is not int or type(m) is not int:
         _require_ints(n, m)
     if n < 0 or m < 0:
@@ -106,7 +123,8 @@ def lucas_factors(n: int, m: int, p: int) -> list[tuple[int, int, int]]:
 
 def binom_mod_p(n: int, m: int, p: int) -> int:
     """C(n, m) mod p via the digitwise product of small binomials."""
-    _require_prime(p)
+    if type(p) is not int or p not in _SMALL_PRIMES:
+        _require_prime(p)
     if type(n) is not int or type(m) is not int:
         _require_ints(n, m)
     if n < 0 or m < 0:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import (
     CoefficientNotInRing,
@@ -40,7 +41,7 @@ from .errors import (
     UnknownVariable,
     VarListMismatch,
 )
-from .rings import _IDENT, RingElement, RingSpec, _square_multiply
+from .rings import _IDENT, RingElement, RingSpec, _ext_trim, _square_multiply
 
 
 # Largest floor(log2 |a|) * e over int, or degree of a^e over F_p[t], that a
@@ -110,6 +111,23 @@ def _accumulate(spec: RingSpec, out: dict, key, value) -> None:
         out.pop(key, None)
     else:
         out[key] = total
+
+
+def _sum_raw(spec: RingSpec, values: list):
+    """The sum of raw values, taken once.  Over F_p[t] the values add into
+    one list of residues, their zero slots skipped, which is reduced and
+    trimmed at the end: adding them pairwise copies the partial sum each
+    time, so a long sum of t^i is quadratic."""
+    if len(values) == 1:
+        return values[0]
+    if spec.var_name is None:
+        total = sum(values)
+        return total % spec.p if spec.p else total
+    out = [0] * max(map(len, values))
+    for v in values:
+        for i in compress(count(), v):
+            out[i] += v[i]
+    return _ext_trim([c % spec.p for c in out])
 
 
 # raw-term-dict arithmetic
@@ -435,7 +453,7 @@ class _Parser:
         """Signed sum of terms, as raw coefficients keyed by exponent tuple."""
         spec = self.spec
         inner = self.depth > 0
-        acc: dict = {}
+        values: dict = {}  # the signed coefficients read per exponent tuple
         kind = self.peek()[0]
         negate = kind == "-"
         if kind in ("+", "-"):
@@ -444,13 +462,14 @@ class _Parser:
             coeff, exps = self.term()
             if negate:
                 coeff = spec._rneg(coeff)
-            _accumulate(spec, acc, tuple(exps), coeff)
+            values.setdefault(tuple(exps), []).append(coeff)
             kind, _, pos = self.peek()
             if kind in ("+", "-"):
                 negate = kind == "-"
                 self.take()
             elif kind == (")" if inner else "end"):
-                return acc
+                return {key: total for key, vs in values.items()
+                        if (total := _sum_raw(spec, vs)) != spec._rzero}
             elif inner:
                 raise ParseError("expected '+', '-' or ')'", pos)
             else:
@@ -516,7 +535,9 @@ class _Parser:
         if spec.var_name is not None and size > _MAX_POWER_SIZE:
             raise ParseError(f"coefficient product too large: degree {size} "
                              f"exceeds {_MAX_POWER_SIZE}", pos)
-        return spec._rmul(coeff, raw)
+        # a term's first coefficient factor would multiply the ring's one,
+        # which over F_p[t] walks every slot of t^i
+        return raw if coeff == spec._rone else spec._rmul(coeff, raw)
 
     def exponent(self) -> int:
         """The ``^uint`` after a factor, or 1 when there is none."""

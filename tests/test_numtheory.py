@@ -15,6 +15,21 @@ from jacobipoly import (
     s2_parts,
 )
 from jacobipoly.errors import ModulusTooLarge, NotInS2, NotPrime
+from jacobipoly.numtheory import _MR_BASES, _MR_LIMIT, _PSI
+
+
+def strong_probable_prime(n, bases):
+    """Whether odd n > 41 passes Miller-Rabin to every base; with all 13
+    bases this is exact below _MR_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 def test_is_prime():
@@ -39,6 +54,40 @@ def test_is_prime_large():
     # 2^89 - 1 is prime, but beyond the range the bases decide exactly
     with pytest.raises(ModulusTooLarge):
         is_prime(2**89 - 1)
+
+
+def test_psi_table():
+    assert list(_PSI) == sorted(_PSI) and _PSI[-1] == _MR_LIMIT
+    assert len(_PSI) == len(_MR_BASES)
+
+
+def test_every_psi_is_rejected():
+    # the distinct psi_1 .. psi_12 (OEIS A014233), each with the k of its
+    # first occurrence: psi_k passes the first k bases, so it is where base
+    # k + 1 comes in
+    for k, psi in ((1, 2047), (2, 1373653), (3, 25326001), (4, 3215031751),
+                   (5, 2152302898747), (6, 3474749660383),
+                   (7, 341550071728321), (9, 3825123056546413051),
+                   (12, 318665857834031151167461)):
+        assert strong_probable_prime(psi, _MR_BASES[:k])
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_matches_all_bases_in_every_psi_interval(rng):
+    # about 200 odd n per interval [psi_(k-1), psi_k), psi_0 = 43, and the
+    # 20 integers on either side of each psi_k
+    ns = []
+    for low, high in zip((43,) + _PSI, _PSI):
+        if low < high:
+            ns += [rng.randrange(low, high) | 1 for _ in range(200)]
+    for psi in _PSI:
+        ns += range(psi - 20, psi + 21)
+    below = [n for n in ns if n < _MR_LIMIT]
+    assert [n for n in below if is_prime(n) != (
+        n % 2 == 1 and strong_probable_prime(n, _MR_BASES))] == []
+    for n in set(ns) - set(below):
+        with pytest.raises(ModulusTooLarge):
+            is_prime(n)
 
 
 def test_a_modulus_must_be_an_int():

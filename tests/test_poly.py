@@ -35,6 +35,16 @@ def test_parse_zero():
     assert MultiPoly.parse("3*x*y", F3).is_zero
 
 
+def test_parse_sums_the_terms_of_one_monomial():
+    # a sum that reaches zero on the way, or at the end, drops its monomial
+    assert MultiPoly.parse("x + 2*y - x + 3*x", Z) == MultiPoly.parse("3*x + 2*y", Z)
+    assert MultiPoly.parse("2*x + 2*x + y + 2*y", F3) == MultiPoly.parse("x", F3)
+    assert (MultiPoly.parse("(t + 2*t + t^2)*x + (1 - t^2)*x + (t^3)*y", E3)
+            == MultiPoly.parse("x + (t^3)*y", E3))
+    long = "(" + "+".join(f"t^{i}" for i in range(1025)) + ")*x"
+    assert MultiPoly.parse(long, E3).coeff((1, 0)) == E3.element([1] * 1025)
+
+
 def test_parse_linear_example():
     p = MultiPoly.parse("-2*x + 4*y", Z)
     assert p.coeff((1, 0)) == -2
