@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
+from operator import add
 
 from .errors import (
     CoefficientNotInRing,
@@ -103,16 +104,6 @@ def _check_vars(spec: RingSpec, vars) -> tuple[str, ...]:
     return vars
 
 
-def _accumulate(spec: RingSpec, out: dict, key, value) -> None:
-    """Add a raw value into out[key], keeping out free of zero values."""
-    prev = out.get(key)
-    total = value if prev is None else spec._radd(prev, value)
-    if total == spec._rzero:
-        out.pop(key, None)
-    else:
-        out[key] = total
-
-
 def _sum_raw(spec: RingSpec, values: list):
     """The sum of raw values, taken once.  Over F_p[t] the values add into
     one list of residues, their zero slots skipped, which is reduced and
@@ -130,32 +121,22 @@ def _sum_raw(spec: RingSpec, values: list):
     return _ext_trim([c % spec.p for c in out])
 
 
-# raw-term-dict arithmetic
-
-def _add_raw(spec: RingSpec, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, v in b.items():
-        _accumulate(spec, out, m, v)
-    return out
+def _collect(spec: RingSpec, pairs) -> dict:
+    """The term dict of (exponent tuple, raw value) pairs: each monomial's
+    values summed once with `_sum_raw`, and a monomial whose sum is zero
+    left out.  Every term dict that adds contributions is built here."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    zero = spec._rzero
+    return {key: total for key, values in groups.items()
+            if (total := _sum_raw(spec, values)) != zero}
 
 
 def _mul_raw(spec: RingSpec, a: dict, b: dict) -> dict:
-    radd, rmul, rzero = spec._radd, spec._rmul, spec._rzero
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    for ma, va in a.items():
-        for mb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            prod = rmul(va, vb)
-            prev = out.get(key)
-            out[key] = prod if prev is None else radd(prev, prod)
-    return {m: v for m, v in out.items() if v != rzero}
-
-
-def _neg_raw(spec: RingSpec, a: dict) -> dict:
-    rneg = spec._rneg
-    return {m: rneg(v) for m, v in a.items()}
+    rmul = spec._rmul
+    return _collect(spec, ((tuple(map(add, ma, mb)), rmul(va, vb))
+                           for ma, va in a.items() for mb, vb in b.items()))
 
 
 class MultiPoly:
@@ -168,7 +149,7 @@ class MultiPoly:
             raise TypeError("spec must be a RingSpec")
         self.spec = spec
         self.vars = _check_vars(spec, vars)
-        clean: dict = {}
+        pairs = []
         n = len(self.vars)
         for key, value in (terms or {}).items():
             if isinstance(key, Monomial):
@@ -180,8 +161,8 @@ class MultiPoly:
             if any(isinstance(e, bool) or not isinstance(e, int) or e < 0
                    for e in key):
                 raise ValueError(f"bad exponents {key}")
-            _accumulate(spec, clean, key, spec._coerce_raw(value))
-        self._terms = clean
+            pairs.append((key, spec._coerce_raw(value)))
+        self._terms = _collect(spec, pairs)
 
     @classmethod
     def _from_raw(cls, spec, vars, terms: dict) -> MultiPoly:
@@ -273,8 +254,8 @@ class MultiPoly:
         t = self._operand(other)
         if t is None:
             return NotImplemented
-        return MultiPoly._from_raw(self.spec, self.vars,
-                                   _add_raw(self.spec, self._terms, t))
+        return MultiPoly._from_raw(self.spec, self.vars, _collect(
+            self.spec, chain(self._terms.items(), t.items())))
 
     __radd__ = __add__
 
@@ -282,9 +263,7 @@ class MultiPoly:
         t = self._operand(other)
         if t is None:
             return NotImplemented
-        return MultiPoly._from_raw(
-            self.spec, self.vars,
-            _add_raw(self.spec, self._terms, _neg_raw(self.spec, t)))
+        return self + -MultiPoly._from_raw(self.spec, self.vars, t)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -299,8 +278,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __neg__(self):
+        rneg = self.spec._rneg
         return MultiPoly._from_raw(self.spec, self.vars,
-                                   _neg_raw(self.spec, self._terms))
+                                   {m: rneg(v) for m, v in self._terms.items()})
 
     def __pow__(self, e: int) -> MultiPoly:
         spec, one = self.spec, {(0,) * len(self.vars): self.spec._rone}
@@ -358,18 +338,16 @@ class MultiPoly:
                 cache.append(_mul_raw(spec, cache[-1], repl_terms[vi]))
             return cache[e]
 
-        acc: dict = {}
+        rmul = spec._rmul
+        pairs = []
         for mono, c in self._terms.items():
-            prod = None
+            prod = unit
             for vi, e in enumerate(mono):
                 if e:
                     pw = power(vi, e)
-                    prod = pw if prod is None else _mul_raw(spec, prod, pw)
-            if prod is None:
-                prod = unit
-            for m, v in prod.items():
-                _accumulate(spec, acc, m, spec._rmul(c, v))
-        return MultiPoly._from_raw(spec, target, acc)
+                    prod = pw if prod is unit else _mul_raw(spec, prod, pw)
+            pairs.extend((m, rmul(c, v)) for m, v in prod.items())
+        return MultiPoly._from_raw(spec, target, _collect(spec, pairs))
 
     def evaluate(self, values: dict) -> RingElement:
         """Plug in a ring element for every variable."""
@@ -453,7 +431,7 @@ class _Parser:
         """Signed sum of terms, as raw coefficients keyed by exponent tuple."""
         spec = self.spec
         inner = self.depth > 0
-        values: dict = {}  # the signed coefficients read per exponent tuple
+        pairs = []  # (exponent tuple, signed coefficient) per term read
         kind = self.peek()[0]
         negate = kind == "-"
         if kind in ("+", "-"):
@@ -462,14 +440,13 @@ class _Parser:
             coeff, exps = self.term()
             if negate:
                 coeff = spec._rneg(coeff)
-            values.setdefault(tuple(exps), []).append(coeff)
+            pairs.append((tuple(exps), coeff))
             kind, _, pos = self.peek()
             if kind in ("+", "-"):
                 negate = kind == "-"
                 self.take()
             elif kind == (")" if inner else "end"):
-                return {key: total for key, vs in values.items()
-                        if (total := _sum_raw(spec, vs)) != spec._rzero}
+                return _collect(spec, pairs)
             elif inner:
                 raise ParseError("expected '+', '-' or ')'", pos)
             else:

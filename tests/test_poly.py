@@ -20,6 +20,8 @@ F2 = RingSpec.prime_field(2)
 F3 = RingSpec.prime_field(3)
 F5 = RingSpec.prime_field(5)
 E3 = RingSpec.extension(3, "t")
+F1000003 = RingSpec.prime_field(1000003)
+E1000003 = RingSpec.extension(1000003, "t")
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -36,13 +38,62 @@ def test_parse_zero():
 
 
 def test_parse_sums_the_terms_of_one_monomial():
-    # a sum that reaches zero on the way, or at the end, drops its monomial
-    assert MultiPoly.parse("x + 2*y - x + 3*x", Z) == MultiPoly.parse("3*x + 2*y", Z)
-    assert MultiPoly.parse("2*x + 2*x + y + 2*y", F3) == MultiPoly.parse("x", F3)
-    assert (MultiPoly.parse("(t + 2*t + t^2)*x + (1 - t^2)*x + (t^3)*y", E3)
-            == MultiPoly.parse("x + (t^3)*y", E3))
+    # a sum that reaches zero on the way, or at the end, drops its monomial,
+    # and every builder of a term dict sums a monomial's terms the same way
+    t = E3.generator()
+    sums = (  # ring, text, its terms as (monomial, coefficient), the sum
+        (Z, "x + 2*y - x + 3*x",
+         [((1, 0), 1), ((0, 1), 2), ((1, 0), -1), ((1, 0), 3)], "3*x + 2*y"),
+        (F3, "2*x + 2*x + y + 2*y",
+         [((1, 0), 2), ((1, 0), 2), ((0, 1), 1), ((0, 1), 2)], "x"),
+        (E3, "(t + 2*t + t^2)*x + (1 - t^2)*x + (t^3)*y",
+         [((1, 0), t + 2 * t + t**2), ((1, 0), 1 - t**2), ((0, 1), t**3)],
+         "x + (t^3)*y"),
+    )
+
+    def no_zero_value(p):
+        return all(v != p.spec._rzero for v in p._terms.values())
+
+    for spec, text, terms, total in sums:
+        want = MultiPoly.parse(total, spec)
+        x, y = (MultiPoly.variable(spec, XY, v) for v in XY)
+        zero = MultiPoly.zero(spec, XY)
+        # the first term of each monomial under a Monomial key, the sum of
+        # the rest under the equal tuple key
+        first, rest = {}, {}
+        for m, c in terms:
+            if m in first:
+                rest[m] = rest.get(m, 0) + c
+            else:
+                first[m] = c
+        spread = MultiPoly(spec, XYZ, {m + (k,): c
+                                       for k, (m, c) in enumerate(terms)})
+        built = (
+            MultiPoly.parse(text, spec),
+            MultiPoly(spec, XY, {**{Monomial(m): c for m, c in first.items()},
+                                 **rest}),
+            sum((x**i * y**j * c for (i, j), c in terms), zero),
+            sum((c * x**i * y**j for (i, j), c in terms), zero),
+            zero - sum((x**i * y**j * (-c) for (i, j), c in terms), zero),
+            # z -> 1 leaves every term of one monomial to substitute's sum
+            spread.substitute({"x": x, "y": y,
+                               "z": MultiPoly.constant(spec, XY, 1)}),
+        )
+        for p in built:
+            assert p == want and no_zero_value(p), (spec, p)
+        assert (want * 3).is_zero == (spec.p == 3)
+        square = (want + 1) ** 2
+        assert square == want * want + want * 2 + 1 and no_zero_value(square)
+    # (x + y)^3 = x^3 + y^3 over F_3: each middle coefficient is two
+    # products whose sum is zero
+    for spec in (F3, E3):
+        x, y = (MultiPoly.variable(spec, XY, v) for v in XY)
+        assert (x + y) ** 3 == x**3 + y**3
+        assert no_zero_value((x + y) ** 3)
     long = "(" + "+".join(f"t^{i}" for i in range(1025)) + ")*x"
     assert MultiPoly.parse(long, E3).coeff((1, 0)) == E3.element([1] * 1025)
+    assert MultiPoly.parse(long, E3) == MultiPoly(
+        E3, XY, {Monomial((1, 0)): [1] * 512, (1, 0): [0] * 512 + [1] * 513})
 
 
 def test_parse_linear_example():
@@ -385,7 +436,7 @@ def test_substitute_validation():
 
 
 def test_substitution_is_a_homomorphism(rng):
-    for spec in (Z, F3, E3):
+    for spec in (Z, F3, E3, F1000003, E1000003):
         for _ in range(120):
             p = random_poly(spec, XY, rng)
             q = random_poly(spec, XY, rng)

@@ -15,8 +15,10 @@ F3 = RingSpec.prime_field(3)
 F5 = RingSpec.prime_field(5)
 E3 = RingSpec.extension(3, "t")
 E5 = RingSpec.extension(5, "u")
+F1000003 = RingSpec.prime_field(1000003)
+E1000003 = RingSpec.extension(1000003, "t")
 
-ALL_SPECS = (Z, F2, F3, F5, E3, E5)
+ALL_SPECS = (Z, F2, F3, F5, E3, E5, F1000003, E1000003)
 
 
 def test_parse_round_trip():
