@@ -16,13 +16,12 @@ overlap (A = 0 with C = B) is reported as the affine family.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import ClassVar
+from collections import namedtuple
 
 from .errors import AlgebraError, CharMismatch, ConditionViolated
 from .jacobi import _XY, EquationForm, _require_xy, least_defect_term
-from .poly import MultiPoly, Monomial
-from .rings import RingElement, RingSpec
+from .poly import MultiPoly
+from .rings import RingSpec
 
 # The monomial of each coefficient of A*x*y + B*x + C*y + D, in the order
 # `image` returns them.
@@ -30,53 +29,56 @@ _ABCD = {"A": (1, 1), "B": (1, 0), "C": (0, 1), "D": (0, 0)}
 
 
 class FamilyParams:
-    """The parameters of one family member.  Each family names them as
-    dataclass fields and maps them to the coefficients (A, B, C, D) of
-    A*x*y + B*x + C*y + D in `image`, with 0 for a coefficient it lacks."""
+    """The parameters of one family member.  Each family is a namedtuple of
+    its parameters, and its `image` maps them to the coefficients (A, B, C,
+    D) of A*x*y + B*x + C*y + D, with 0 for a coefficient it lacks.  A
+    member equals only members of its own family."""
+
+    __slots__ = ()
+
+    # as bare tuples, Char3Product(1, 1, 0), which is xy + x + y, would
+    # equal Char3Affine(1, 1, 0), which is x + y
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    # tuple's own __ne__ would answer != by value alone
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def coefficients(self):
-        # a dataclass's __match_args__ names its fields in order
-        return {name: getattr(self, name) for name in self.__match_args__}
+        # each field by name, in the order of __match_args__
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class LinearBC(FamilyParams):
+class LinearBC(FamilyParams, namedtuple("LinearBC", "B C")):
     """P = B*x + C*y with B^2 + B*C + C = 0 (any characteristic)."""
 
-    B: RingElement
-    C: RingElement
-
-    name: ClassVar[str] = "linear_bc"
-    shape: ClassVar[str] = "B*x + C*y"
-    condition: ClassVar[str] = "B^2 + B*C + C = 0"
+    __slots__ = ()
+    name = "linear_bc"
+    shape = "B*x + C*y"
+    condition = "B^2 + B*C + C = 0"
     image = staticmethod(lambda B, C: (0, B, C, 0))
 
 
-@dataclass(frozen=True)
-class Char3Product(FamilyParams):
+class Char3Product(FamilyParams, namedtuple("Char3Product", "A B D")):
     """P = A*x*y + B*(x+y) + D with A*D = B^2 - B, characteristic 3 only."""
 
-    A: RingElement
-    B: RingElement
-    D: RingElement
-
-    name: ClassVar[str] = "char3_product"
-    shape: ClassVar[str] = "A*x*y + B*(x+y) + D"
-    condition: ClassVar[str] = "A*D = B^2 - B"
+    __slots__ = ()
+    name = "char3_product"
+    shape = "A*x*y + B*(x+y) + D"
+    condition = "A*D = B^2 - B"
     image = staticmethod(lambda A, B, D: (A, B, B, D))
 
 
-@dataclass(frozen=True)
-class Char3Affine(FamilyParams):
+class Char3Affine(FamilyParams, namedtuple("Char3Affine", "B C D")):
     """P = B*x + C*y + D with B^2 + B*C + C = 0, characteristic 3 only."""
 
-    B: RingElement
-    C: RingElement
-    D: RingElement
-
-    name: ClassVar[str] = "char3_affine"
-    shape: ClassVar[str] = "B*x + C*y + D"
-    condition: ClassVar[str] = "B^2 + B*C + C = 0"
+    __slots__ = ()
+    name = "char3_affine"
+    shape = "B*x + C*y + D"
+    condition = "B^2 + B*C + C = 0"
     image = staticmethod(lambda B, C, D: (0, B, C, D))
 
 
@@ -101,7 +103,7 @@ def _families(characteristic) -> tuple:
 def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
     """Build the family member A*x*y + B*x + C*y + D over (x, y),
     validating characteristic and the defining coefficient condition."""
-    values = [spec.element(v) for v in params.coefficients().values()]
+    values = [spec.element(v) for v in params]
     valid = _families(spec.characteristic) + _families(None)
     if type(params) not in valid:
         raise CharMismatch(f"{params.name} is not a family over {spec}")
@@ -115,12 +117,11 @@ def make_family(params: FamilyParams, spec: RingSpec) -> MultiPoly:
 _RESIDUAL_NAMES = ("3*A^2", "3*D*(B+1)", "A*(2*B+C)", "B^2+B*C+C+A*D")
 
 
-@dataclass(frozen=True)
-class SystemResiduals:
-    """The four residuals of the coefficient system, in the order
-    3*A^2, 3*D*(B+1), A*(2*B+C), B^2+B*C+C+A*D."""
+class SystemResiduals(namedtuple("SystemResiduals", "residuals")):
+    """The four residuals of the coefficient system, a tuple of ring
+    elements in the order 3*A^2, 3*D*(B+1), A*(2*B+C), B^2+B*C+C+A*D."""
 
-    residuals: tuple[RingElement, RingElement, RingElement, RingElement]
+    __slots__ = ()
 
     @property
     def all_zero(self) -> bool:
@@ -188,12 +189,12 @@ def _solve_last(family, head, values, spec: RingSpec):
     return (solved,) if solved in values else ()
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    """Either a family membership or a nonzero J1 defect term."""
+class ClassificationResult(namedtuple("ClassificationResult",
+                                      "family witness")):
+    """Either a family membership (FamilyParams) or a nonzero J1 defect
+    term (a (Monomial, RingElement) pair); the other field is None."""
 
-    family: FamilyParams | None
-    witness: tuple[Monomial, RingElement] | None
+    __slots__ = ()
 
     @property
     def is_solution(self) -> bool:

@@ -76,5 +76,5 @@ class UnsupportedSpec(AlgebraError):
 
 class BudgetExceeded(AlgebraError):
     """A computation would pass a fixed work bound: `defect`'s ring
-    operations, the scan's degree cap, or the search's values tried and
-    terms rewritten."""
+    operations, the scan's degree cap, the search's values tried and terms
+    rewritten, or the n of numtheory's scans over every C(n, m)."""

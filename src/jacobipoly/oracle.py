@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .classify import classify, family_members
 from .errors import BudgetExceeded, UnsupportedSpec
@@ -61,15 +61,22 @@ _SWAP_IMAGE = {EquationForm.J2: EquationForm.J1,
                EquationForm.J5: EquationForm.J6}
 
 
-@dataclass(frozen=True)
-class EnumSpace:
+@functools.cache
+def _monomials(k: int) -> tuple[tuple[int, int], ...]:
+    """Exponent pairs up to the degree cap k, graded-lex descending: built
+    once per cap and shared by every space of that cap."""
+    pairs = [(i, j) for i in range(k + 1) for j in range(k + 1)]
+    pairs.sort(key=_grade, reverse=True)
+    return tuple(pairs)
+
+
+class EnumSpace(namedtuple("EnumSpace", "spec max_deg_per_var coeff_bound")):
     """One finite candidate space of bivariate polynomials."""
 
-    spec: RingSpec
-    max_deg_per_var: int
-    coeff_bound: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, spec, max_deg_per_var, coeff_bound=None):
+        self = super().__new__(cls, spec, max_deg_per_var, coeff_bound)
         sizes = [self.max_deg_per_var]
         if self.coeff_bound is not None:
             sizes.append(self.coeff_bound)
@@ -100,14 +107,17 @@ class EnumSpace:
             raise BudgetExceeded(
                 f"more than {_MAX_SEARCH_WORK} coefficient values are past "
                 f"the search budget: it tries every one")
+        return self
 
-    @functools.cached_property
+    # `_replace` builds through `_make`, which would skip the checks above
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    @property
     def monomials(self) -> tuple[tuple[int, int], ...]:
         """Exponent pairs up to the degree cap, graded-lex descending."""
-        k = self.max_deg_per_var
-        pairs = [(i, j) for i in range(k + 1) for j in range(k + 1)]
-        pairs.sort(key=_grade, reverse=True)
-        return tuple(pairs)
+        return _monomials(self.max_deg_per_var)
 
     @property
     def coefficient_values(self) -> range:
@@ -131,17 +141,11 @@ class EnumSpace:
                                                  repeat=len(self.monomials)))
 
 
-@dataclass(frozen=True)
-class EnumReport:
-    """Outcome of one exhaustive scan."""
-
-    solutions: tuple[MultiPoly, ...]
-    agreement: bool
-    max_solution_degrees: tuple[int, int]
-    # candidates that the search let through to the formal defect
-    checked: int
-    # values the search tried at a position, pruned or not
-    nodes: int
+# Outcome of one exhaustive scan.  `checked` counts the candidates that the
+# search let through to the formal defect, and `nodes` the values it tried at
+# a position, pruned or not.
+EnumReport = namedtuple(
+    "EnumReport", "solutions agreement max_solution_degrees checked nodes")
 
 
 def predicted_solutions(space: EnumSpace, form: EquationForm) -> frozenset[MultiPoly]:

@@ -31,7 +31,7 @@ picks one canonical spelling.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress, count
 from operator import add
 
@@ -66,11 +66,10 @@ def _grade(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "exponents")):
     """Exponent vector of one term, positions matching a variable list."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
     def text(self, vars: tuple[str, ...]) -> str:
         if len(vars) != len(self.exponents):

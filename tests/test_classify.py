@@ -70,6 +70,18 @@ def test_make_family_char3_affine():
     p = make_family(Char3Affine(F3.element(1), F3.element(1), F3.element(2)), F3)
     assert p == MultiPoly.parse("x + y + 2", F3)
     assert satisfies(p, EquationForm.J1)
+    # equal parameters name different members in the two families, x*y +
+    # x + y and x + y, so a record equals only a record of its own family
+    product, affine = Char3Product(1, 1, 0), Char3Affine(1, 1, 0)
+    assert make_family(product, F3) != make_family(affine, F3)
+    assert not product == affine and product != affine
+    assert not affine == product and affine != product
+    assert product == Char3Product(A=1, B=1, D=0)
+    assert not product != Char3Product(A=1, B=1, D=0)
+    assert hash(product) == hash(Char3Product(1, 1, 0))
+    assert len({product, affine}) == 2
+    with pytest.raises(AttributeError):
+        affine.B = 2
 
 
 def test_make_family_coerces_ints():
@@ -78,12 +90,19 @@ def test_make_family_coerces_ints():
 
 
 def test_make_family_condition_violated():
-    with pytest.raises(ConditionViolated):
+    # the message names the condition and formats the record
+    with pytest.raises(ConditionViolated) as exc:
         make_family(LinearBC(Z.element(1), Z.element(1)), Z)
-    with pytest.raises(ConditionViolated):
+    assert str(exc.value) == ("B^2 + B*C + C = 0 fails for "
+                              "LinearBC(B=<1 in int>, C=<1 in int>)")
+    with pytest.raises(ConditionViolated) as exc:
         make_family(Char3Product(F3.element(1), F3.element(1), F3.element(1)), F3)
-    with pytest.raises(ConditionViolated):
+    assert str(exc.value) == ("A*D = B^2 - B fails for Char3Product("
+                              "A=<1 in zp:3>, B=<1 in zp:3>, D=<1 in zp:3>)")
+    with pytest.raises(ConditionViolated) as exc:
         make_family(Char3Affine(F3.element(2), F3.element(1), F3.zero()), F3)
+    assert str(exc.value) == ("B^2 + B*C + C = 0 fails for Char3Affine("
+                              "B=<2 in zp:3>, C=<1 in zp:3>, D=<0 in zp:3>)")
 
 
 def test_make_family_characteristic_checked():

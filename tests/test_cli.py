@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import jacobipoly
 from jacobipoly import (EnumSpace, EquationForm, RingSpec,
                         enumerate_solutions)
 from jacobipoly.cli import run
@@ -235,6 +236,26 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "satisfied" in proc.stdout
+
+
+# Modules that `dataclasses` and `typing` bring in.  Every command starts a
+# fresh interpreter, and importing these took about three times as long as
+# the package's own code.
+HEAVY_MODULES = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+
+
+def test_the_import_loads_no_heavy_modules():
+    # -I -S: no environment, user site or site hooks that load modules first
+    src = str(pathlib.Path(jacobipoly.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "before = set(sys.modules); import jacobipoly.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "jacobipoly.cli" in loaded
+    assert not loaded & HEAVY_MODULES, sorted(loaded & HEAVY_MODULES)
 
 
 @pytest.mark.parametrize("output", ["json", "human"])

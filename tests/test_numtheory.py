@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -14,8 +15,8 @@ from jacobipoly import (
     lucas_factors,
     s2_parts,
 )
-from jacobipoly.errors import ModulusTooLarge, NotInS2, NotPrime
-from jacobipoly.numtheory import _MR_BASES, _MR_LIMIT, _PSI
+from jacobipoly.errors import BudgetExceeded, ModulusTooLarge, NotInS2, NotPrime
+from jacobipoly.numtheory import _MAX_BINOMIAL_SCAN, _MR_BASES, _MR_LIMIT, _PSI
 
 
 def strong_probable_prime(n, bases):
@@ -279,3 +280,28 @@ def test_cor2b_scan_small():
     for p in (2, 3, 5):
         for n in range(2, 100):
             assert cor2b_check(n, p)
+
+
+def test_binomial_scans_refuse_n_past_their_bound_at_once():
+    # each check walks every m < n, so its time is linear in n; 2^40 would
+    # run for days.  n = 2^40 + 3 and 3^40 + 3^20 + 1 have digit sum 3.
+    big = (lambda: is_s1_by_divisibility(2**40, 2),
+           lambda: is_s1_by_divisibility(_MAX_BINOMIAL_SCAN + 1, 3),
+           lambda: cor2a_check(2**40 + 1, 2),
+           lambda: cor2a_check(2 * 5**30, 5),
+           lambda: cor2b_check(2**40 + 3, 2),
+           lambda: cor2b_check(3**40 + 3**20 + 1, 3))
+    for call in big:
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="budget"):
+            call()
+        assert time.perf_counter() - t0 < 0.1
+    # the bound itself is accepted; these answers come at the first m
+    assert not is_s1_by_divisibility(_MAX_BINOMIAL_SCAN - 1, 2)
+    assert cor2b_check(_MAX_BINOMIAL_SCAN - 1, 2)
+    # input errors still come first, and a digit sum of 1 or 2 answers
+    # through cor2b's shortcut at any n
+    with pytest.raises(NotInS2):
+        cor2a_check(2**40 + 3, 2)
+    assert cor2b_check(2**40, 2) and cor2b_check(2**40 + 1, 2)
+    assert cor2b_check(2 * 7**300, 7)

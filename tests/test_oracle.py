@@ -37,6 +37,30 @@ def test_space_validation():
         EnumSpace(F3, 1, 2)  # bound only applies to integers
     with pytest.raises(ValueError):
         EnumSpace(F3, -1)
+    # the same refusals by keyword
+    with pytest.raises(UnsupportedSpec):
+        EnumSpace(spec=RingSpec.extension(3, "t"), max_deg_per_var=1)
+    with pytest.raises(ValueError):
+        EnumSpace(spec=Z, max_deg_per_var=1)
+    with pytest.raises(ValueError):
+        EnumSpace(spec=Z, max_deg_per_var=1, coeff_bound=0)
+    with pytest.raises(ValueError):
+        EnumSpace(F3, max_deg_per_var=1, coeff_bound=2)
+    with pytest.raises(ValueError):
+        EnumSpace(spec=F3, max_deg_per_var=-1)
+    with pytest.raises(TypeError):
+        EnumSpace(spec=F3, max_deg_per_var=True)
+    with pytest.raises(BudgetExceeded):
+        EnumSpace(spec=F3, max_deg_per_var=5)
+    # coeff_bound defaults to None, and a built space is read-only
+    space = EnumSpace(F3, 1)
+    assert space.coeff_bound is None
+    assert space == EnumSpace(spec=F3, max_deg_per_var=1, coeff_bound=None)
+    assert repr(space) == ("EnumSpace(spec=RingSpec('zp:3'), "
+                           "max_deg_per_var=1, coeff_bound=None)")
+    for field in ("spec", "max_deg_per_var", "coeff_bound"):
+        with pytest.raises(AttributeError):
+            setattr(space, field, getattr(space, field))
     # a size that is not an int, or is a bool, is refused when it is built
     for args in ((F3, 2.5), (F3, True), (F3, None), (F3, "2"), (Z, 1, 2.0),
                  (Z, 1, True), (Z, False, 2), ("zp:3", 2), (None, 1)):
@@ -47,6 +71,15 @@ def test_space_validation():
     rep = enumerate_solutions(space, EquationForm.J1)
     assert rep.agreement
     assert set(rep.solutions) == predicted_solutions(space, EquationForm.J1)
+
+
+def test_a_replaced_space_is_checked_again():
+    space = EnumSpace(F3, 1)
+    assert space._replace(max_deg_per_var=2) == EnumSpace(F3, 2)
+    with pytest.raises(BudgetExceeded):
+        space._replace(max_deg_per_var=5)
+    with pytest.raises(ValueError):
+        space._replace(coeff_bound=2)
 
 
 def test_over_budget_spaces_are_refused_at_once():
@@ -97,6 +130,9 @@ def test_enumerate_f2_maxdeg1():
     assert [str(s) for s in rep.solutions] == ["0"]
     assert rep.agreement
     assert rep.max_solution_degrees == (-1, -1)
+    assert repr(rep) == (
+        "EnumReport(solutions=(<0 over zp:2 in x/y>,), agreement=True, "
+        "max_solution_degrees=(-1, -1), checked=1, nodes=8)")
 
 
 def test_enumerate_f5_maxdeg1():

@@ -259,6 +259,12 @@ def test_constructor_and_helpers():
     p = MultiPoly(Z, XY, {(1, 0): -2, Monomial((0, 1)): 4})
     assert p == MultiPoly.parse("-2*x + 4*y", Z)
     assert repr(p) == "<-2*x + 4*y over int in x/y>"
+    mono = Monomial((1, 0))
+    assert repr(mono) == "Monomial(exponents=(1, 0))"
+    assert mono == Monomial(exponents=(1, 0)) and mono.text(XY) == "x"
+    assert p.coeff(mono) == -2
+    with pytest.raises(AttributeError):
+        mono.exponents = (0, 1)
     assert MultiPoly.zero(F3, XY).is_zero
     assert MultiPoly.constant(F3, XY, 5) == MultiPoly.parse("2", F3)
     assert MultiPoly.variable(Z, XYZ, "z") == MultiPoly.parse("z", Z, XYZ)
