@@ -16,19 +16,24 @@ filed under c_k, and files each result under its next unset c_n.  A
 polynomial with no unset c_n left is decided, and a nonzero one rules out
 every candidate with that prefix: the search skips the whole subtree and
 undoes the rewrites on its way back (splitting with propagation; Davis,
-Logemann and Loveland 1962).  A leaf of the search is a candidate at which
-every coefficient is zero, and each one still goes through the formal
-`defect`, so the search only ever rejects candidates.  The search sets the
-x-heavy positions first, so J2 and J5, whose terms mostly nest in y, are
-searched as the swap images of J1 and J6 (`_SWAP_IMAGE`), and `swap` turns
-each leaf back into P.  The generic defect depends only on the degree cap,
-the form and p, so it is expanded once per such key, and the last four are
-kept (`_defect_coefficients`) as tuples, which no search can change.
+Logemann and Loveland 1962).  The polynomials in c_k alone, the closing
+ones, are read before c_k is set, and one of a fixing shape names the only
+value of c_k that can zero it, or none (unit propagation,
+`_closing_values`).  Only a position that no closing polynomial fixes
+tries every value, and every value tried still goes through them all.  A
+leaf of the search is a candidate at which every coefficient is zero, and
+each one still goes through the formal `defect`, so the search only ever
+rejects candidates.  The search sets the x-heavy positions first, so J2
+and J5, whose terms mostly nest in y, are searched as the swap images of
+J1 and J6 (`_SWAP_IMAGE`), and `swap` turns each leaf back into P.  The
+generic defect depends only on the degree cap, the form and p, so it is
+expanded once per such key, and the last four are kept
+(`_defect_coefficients`) as tuples, which no search can change.
 
 The search bounds its own work: the values it tries plus the terms it
-rewrites.  Past `_MAX_SEARCH_WORK` units it raises `BudgetExceeded`.  It
-tries every value of the first position, so a space with more coefficient
-values than that is refused when it is built.
+rewrites.  Past `_MAX_SEARCH_WORK` units it raises `BudgetExceeded`.  A
+position that no closing polynomial fixes still tries every value, so a
+space with more coefficient values than that is refused when it is built.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ _MAX_SCAN_DEGREE = 4
 _EXP_BITS = (_MAX_SCAN_DEGREE + 1).bit_length()
 # A unit of search work, a value tried or a term rewritten, took 0.23-1.6 us
 # over 25 spaces (Python 3.11, 2.1 GHz Xeon), so a search ends within about
-# 5-32 s.  At degree 4, zp:19 for j1 and j2, 14.8 M units, is accepted, and
-# zp:23 is refused.
+# 5-32 s.  At degree 4, zp:19 for j1 and j2, 14.6 M units (29 291 values
+# tried, 9.8 s), is accepted, and zp:23, 24.0 M units, is refused.
 _MAX_SEARCH_WORK = 2 * 10**7
 
 # P solves J2 (J5) exactly when swap(P) solves J1 (J6).  The terms of J2 all
@@ -106,7 +111,8 @@ class EnumSpace(namedtuple("EnumSpace", "spec max_deg_per_var coeff_bound")):
         if values.stop - values.start > _MAX_SEARCH_WORK:
             raise BudgetExceeded(
                 f"more than {_MAX_SEARCH_WORK} coefficient values are past "
-                f"the search budget: it tries every one")
+                f"the search budget: a position that no closing polynomial "
+                f"fixes still tries every one")
         return self
 
     # `_replace` builds through `_make`, which would skip the checks above
@@ -238,6 +244,28 @@ def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
     return tuple(_generic_defect(monomials, form, p).values())
 
 
+def _closing_values(closing, p: int, values):
+    """The values of c_k that the search tries, given the closing
+    polynomials, those in c_k alone, as (coefficient, exponent) pairs.  A
+    polynomial of one of two shapes names the one value that can zero it,
+    or none (unit propagation): a single term c*c_k^e names 0, as the ring
+    is an integral domain, and a*c_k + b names -b/a, where over F_p a is a
+    unit and over Z a must divide b and -b/a lie in the box.  Otherwise
+    every value is tried."""
+    for poly in closing:
+        if len(poly) == 1:
+            return (0,)
+        if len(poly) == 2 and poly[0][1] + poly[1][1] == 1:
+            (a, e), (b, _) = poly
+            if not e:
+                a, b = b, a
+            if p:
+                return (-b * pow(a, -1, p) % p,)
+            q, r = divmod(-b, a)
+            return () if r or q not in values else (q,)
+    return values
+
+
 def _search(space: EnumSpace, form: EquationForm):
     """The raw coefficient tuples of the space at which every coefficient
     of the generic defect is zero in the ring, in odometer order, and the
@@ -283,7 +311,7 @@ def _search(space: EnumSpace, form: EquationForm):
         closing = [[(c, m >> s) for c, m in terms]
                    for mask, terms in buckets[k] if mask < top]
         rest = [terms for mask, terms in buckets[k] if mask >= top]
-        for v in values:
+        for v in _closing_values(closing, p, values):
             nodes += 1
             if nodes + rewritten > _MAX_SEARCH_WORK:
                 raise BudgetExceeded(

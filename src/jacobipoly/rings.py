@@ -126,6 +126,11 @@ class RingSpec:
     def __hash__(self) -> int:
         return hash((self.p, self.var_name))
 
+    # a ring pickles as its (p, var_name): the arithmetic it holds over F_p
+    # and F_p[t] is lambdas, which do not pickle, and is rebuilt from them
+    def __reduce__(self):
+        return RingSpec, (self.p, self.var_name)
+
     @property
     def characteristic(self) -> int:
         return self.p or 0

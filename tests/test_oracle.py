@@ -1,6 +1,7 @@
 """Exhaustive enumeration spaces, reports, and the family cross-checks."""
 
 import importlib
+import pickle
 import time
 import tracemalloc
 
@@ -132,7 +133,7 @@ def test_enumerate_f2_maxdeg1():
     assert rep.max_solution_degrees == (-1, -1)
     assert repr(rep) == (
         "EnumReport(solutions=(<0 over zp:2 in x/y>,), agreement=True, "
-        "max_solution_degrees=(-1, -1), checked=1, nodes=8)")
+        "max_solution_degrees=(-1, -1), checked=1, nodes=5)")
 
 
 def test_enumerate_f5_maxdeg1():
@@ -305,18 +306,20 @@ def test_perfbench_scans_check_only_their_solutions():
 
 
 def test_search_counts_its_nodes():
-    # a node is a value tried at a position, so every leaf is one and the
-    # first position's values always are.  J2 and J5 count the nodes of
-    # their swap images' searches.  The counts are deterministic,
-    # and they rest on rewrites merging like terms mod p, which can decide
-    # a coefficient before any of its set c_n is 0
+    # a node is a value tried at a position, so every leaf is one.  A
+    # position tries every value only when no closing polynomial there fixes
+    # one, so a search can have fewer nodes than values (zp:10007 at degree
+    # 0 has one); these six have more.  J2 and J5 count the nodes of their
+    # swap images' searches.  The counts are deterministic, and they rest on
+    # rewrites merging like terms mod p, which can decide a coefficient
+    # before any of its set c_n is 0
     for space, form, nodes in (
-            (EnumSpace(F3, 2), EquationForm.J1, 99),
-            (EnumSpace(F3, 2), EquationForm.J5, 27),
-            (EnumSpace(Z, 1, 6), EquationForm.J1, 208),
-            (EnumSpace(Z, 1, 6), EquationForm.J2, 208),
-            (EnumSpace(F5, 1), EquationForm.J1, 50),
-            (EnumSpace(RingSpec.prime_field(7), 1), EquationForm.J1, 98)):
+            (EnumSpace(F3, 2), EquationForm.J1, 49),
+            (EnumSpace(F3, 2), EquationForm.J5, 9),
+            (EnumSpace(Z, 1, 6), EquationForm.J1, 18),
+            (EnumSpace(Z, 1, 6), EquationForm.J2, 18),
+            (EnumSpace(F5, 1), EquationForm.J1, 14),
+            (EnumSpace(RingSpec.prime_field(7), 1), EquationForm.J1, 20)):
         rep = enumerate_solutions(space, form)
         assert rep.nodes == enumerate_solutions(space, form).nodes == nodes
         assert rep.checked <= rep.nodes
@@ -327,8 +330,77 @@ def test_search_counts_its_nodes():
             assert rep.nodes == enumerate_solutions(space, image).nodes
 
 
+def _closing_rule(closing, p, values):
+    """The rule that fixes c_k at a position, named from the first closing
+    polynomial of a fixing shape: a single term, a*c_k + b mod p, or over Z
+    a*c_k + b whose a does not divide b or whose -b/a is inside or outside
+    the box.  None when no polynomial has such a shape."""
+    for poly in closing:
+        if len(poly) == 1:
+            return "single term"
+        if len(poly) == 2 and sorted(e for _, e in poly) == [0, 1]:
+            (a,), (b,) = ([c for c, e in poly if e == n] for n in (1, 0))
+            if p:
+                return "unit"
+            if b % a:
+                return "indivisible"
+            return "inside" if -b // a in values else "outside"
+    return None
+
+
+def test_the_closing_polynomials_fix_the_values_tried(monkeypatch):
+    # a closing polynomial is a list of (coefficient, exponent of c_k)
+    solve = oracle._closing_values
+    box, f7 = range(-5, 6), range(7)
+    assert solve([[(2, 1), (-6, 0)]], 0, box) == (3,)
+    assert solve([[(-6, 0), (2, 1)]], 0, box) == (3,)
+    assert solve([[(2, 1), (5, 0)]], 0, box) == ()
+    assert solve([[(1, 1), (-9, 0)]], 0, box) == ()
+    assert solve([[(3, 1), (1, 0)]], 7, f7) == (2,)
+    assert solve([[(4, 3)]], 7, f7) == (0,)
+    assert solve([[(1, 2), (1, 0)]], 7, f7) is f7
+    # the first polynomial of a fixing shape decides, and the search still
+    # tries the value against them all
+    assert solve([[(1, 2), (1, 0)], [(2, 1), (-6, 0)], [(4, 3)]], 0,
+                 box) == (3,)
+
+    # each rule is hit in a search, and the search still finds exactly the
+    # solutions: those of brute force on the small spaces, and the
+    # predicted families on all.  The node counts pin the values tried,
+    # which a wrong value fixed over Z changes without changing the leaves
+    hits = set()
+
+    def spy(closing, p, values):
+        hits.add(_closing_rule(closing, p, values))
+        return solve(closing, p, values)
+
+    monkeypatch.setattr(oracle, "_closing_values", spy)
+    for space, rules, nodes, brute in (
+            (EnumSpace(F5, 1), {"unit", "single term"}, 14, True),
+            (EnumSpace(RingSpec.prime_field(1009), 1), {"unit"}, 3026, False),
+            (EnumSpace(Z, 1, 2), {"indivisible", "outside"}, 8, True),
+            (EnumSpace(Z, 1, 100), {"indivisible", "inside"}, 206, False),
+            (EnumSpace(Z, 2, 2), {"indivisible", "outside", "inside"}, 33,
+             False),
+            (EnumSpace(RingSpec.prime_field(10007), 0), {"single term"}, 1,
+             True)):
+        hits.clear()
+        rep = enumerate_solutions(space, EquationForm.J1)
+        assert rules <= hits
+        assert rep.nodes == nodes
+        assert rep.agreement
+        assert set(rep.solutions) == predicted_solutions(space,
+                                                         EquationForm.J1)
+        if brute:
+            assert rep.solutions == tuple(
+                p for p in space.candidates()
+                if defect(p, EquationForm.J1).is_zero)
+    # the one closing polynomial at degree 0 is 3*c_0
+    assert hits == {"single term"}
+
+
 def test_search_work_is_bounded(monkeypatch):
-    # about 47 500 values tried and terms rewritten
+    # 47 194 values tried and terms rewritten
     space = EnumSpace(F5, 3)
     assert enumerate_solutions(space, EquationForm.J1).agreement
     monkeypatch.setattr(importlib.import_module("jacobipoly.oracle"),
@@ -413,3 +485,23 @@ def test_the_memo_keeps_at_most_four_entries():
         enumerate_solutions(EnumSpace(RingSpec(p), 1), EquationForm.J6)
     assert oracle._defect_coefficients.cache_info().misses == 5
     assert oracle._defect_coefficients.cache_info().currsize <= 4
+
+
+def test_spaces_reports_and_their_rings_pickle():
+    # a worker process receives its space and returns its report by pickle.
+    # An extension ring has no space, so its ring and a polynomial over it
+    # are checked alone
+    for spec, text, bound in ((Z, "-2*x + 4*y + 1", 4),
+                              (F3, "x*y + x + y", None),
+                              (RingSpec.extension(3, "t"), "(1+t)*x*y + (t)*y",
+                               None)):
+        objects = [spec, MultiPoly.parse(text, spec)]
+        if spec.var_name is None:
+            space = EnumSpace(spec, 1, bound)
+            objects += [space, enumerate_solutions(space, EquationForm.J1)]
+        for obj in objects:
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj and repr(copy) == repr(obj)
+        # a loaded ring computes as the one it was dumped from
+        a = MultiPoly.parse(text, pickle.loads(pickle.dumps(spec)))
+        assert a * a + a == objects[1] * objects[1] + objects[1]
