@@ -164,29 +164,17 @@ def _solve_last(family, head, values, spec: RingSpec):
 
     Every residual of `system_check` is affine in each family's last
     parameter, R(t) = R(0) + t*(R(1) - R(0)), so each one is an equation
-    a*t = -r over the integers or F_p."""
-    p = spec.characteristic
+    a*t = -r in the ring, solved by its division (`RingSpec._div`)."""
     at = [system_check(*family.image(*head, t), spec).residuals
           for t in (0, 1)]
-    solved = None
     for r0, r1 in zip(*at):
         a, r = (r1 - r0).value, r0.value
-        if not a:
-            if r:
-                return ()
-            continue
-        if p:
-            t = -r * pow(a, -1, p) % p
-        else:
-            t, rest = divmod(-r, a)
-            if rest:
-                return ()
-        if solved is not None and t != solved:
+        if a:
+            t = spec._div(-r, a)
+            values = (t,) if t is not None and t in values else ()
+        elif r:
             return ()
-        solved = t
-    if solved is None:
-        return values
-    return (solved,) if solved in values else ()
+    return values
 
 
 class ClassificationResult(namedtuple("ClassificationResult",

@@ -244,13 +244,13 @@ def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
     return tuple(_generic_defect(monomials, form, p).values())
 
 
-def _closing_values(closing, p: int, values):
+def _closing_values(closing, spec: RingSpec, values):
     """The values of c_k that the search tries, given the closing
     polynomials, those in c_k alone, as (coefficient, exponent) pairs.  A
     polynomial of one of two shapes names the one value that can zero it,
     or none (unit propagation): a single term c*c_k^e names 0, as the ring
-    is an integral domain, and a*c_k + b names -b/a, where over F_p a is a
-    unit and over Z a must divide b and -b/a lie in the box.  Otherwise
+    is an integral domain, and a*c_k + b names the t with a*t = -b in the
+    ring (`RingSpec._div`), kept only if it is among `values`.  Otherwise
     every value is tried."""
     for poly in closing:
         if len(poly) == 1:
@@ -259,10 +259,8 @@ def _closing_values(closing, p: int, values):
             (a, e), (b, _) = poly
             if not e:
                 a, b = b, a
-            if p:
-                return (-b * pow(a, -1, p) % p,)
-            q, r = divmod(-b, a)
-            return () if r or q not in values else (q,)
+            t = spec._div(-b, a)
+            return () if t is None or t not in values else (t,)
     return values
 
 
@@ -273,7 +271,8 @@ def _search(space: EnumSpace, form: EquationForm):
     not.  It starts from the cached `_defect_coefficients` of the space's
     degree cap, the form and p.  Raises `BudgetExceeded` once the nodes
     plus the terms rewritten pass `_MAX_SEARCH_WORK`."""
-    p = space.spec.characteristic
+    spec = space.spec
+    p, reduce = spec.characteristic, spec._reduce
     values = space.coefficient_values
     n = len(space.monomials)
     field = (1 << _EXP_BITS) - 1
@@ -311,14 +310,14 @@ def _search(space: EnumSpace, form: EquationForm):
         closing = [[(c, m >> s) for c, m in terms]
                    for mask, terms in buckets[k] if mask < top]
         rest = [terms for mask, terms in buckets[k] if mask >= top]
-        for v in _closing_values(closing, p, values):
+        for v in _closing_values(closing, spec, values):
             nodes += 1
             if nodes + rewritten > _MAX_SEARCH_WORK:
                 raise BudgetExceeded(
                     f"the search passed its budget of {_MAX_SEARCH_WORK} "
                     f"values tried and terms rewritten")
-            if any(sum(c * v ** e for c, e in poly) % p if p
-                   else sum(c * v ** e for c, e in poly) for poly in closing):
+            if any(reduce(sum(c * v ** e for c, e in poly))
+                   for poly in closing):
                 continue
             combo[k] = v
             mark = len(filed)
@@ -333,10 +332,8 @@ def _search(space: EnumSpace, form: EquationForm):
                             c *= v ** e
                             m ^= e << s
                         out[m] = out.get(m, 0) + c
-                    if p:
-                        terms = [(c % p, m) for m, c in out.items() if c % p]
-                    else:
-                        terms = [(c, m) for m, c in out.items() if c]
+                    terms = [(r, m) for m, c in out.items()
+                             if (r := reduce(c))]
                 else:
                     terms = [t for t in terms if not t[1] >> s & field]
                 if not file(terms):

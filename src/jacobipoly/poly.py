@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import chain, compress, count
+from itertools import chain
 from operator import add
 
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
     UnknownVariable,
     VarListMismatch,
 )
-from .rings import _IDENT, RingElement, RingSpec, _ext_trim, _square_multiply
+from .rings import _IDENT, RingElement, RingSpec, _square_multiply
 
 
 # Largest floor(log2 |a|) * e over int, or degree of a^e over F_p[t], that a
@@ -103,33 +103,16 @@ def _check_vars(spec: RingSpec, vars) -> tuple[str, ...]:
     return vars
 
 
-def _sum_raw(spec: RingSpec, values: list):
-    """The sum of raw values, taken once.  Over F_p[t] the values add into
-    one list of residues, their zero slots skipped, which is reduced and
-    trimmed at the end: adding them pairwise copies the partial sum each
-    time, so a long sum of t^i is quadratic."""
-    if len(values) == 1:
-        return values[0]
-    if spec.var_name is None:
-        total = sum(values)
-        return total % spec.p if spec.p else total
-    out = [0] * max(map(len, values))
-    for v in values:
-        for i in compress(count(), v):
-            out[i] += v[i]
-    return _ext_trim([c % spec.p for c in out])
-
-
 def _collect(spec: RingSpec, pairs) -> dict:
     """The term dict of (exponent tuple, raw value) pairs: each monomial's
-    values summed once with `_sum_raw`, and a monomial whose sum is zero
+    values summed once with `RingSpec._rsum`, and a monomial whose sum is zero
     left out.  Every term dict that adds contributions is built here."""
     groups: dict = {}
     for key, value in pairs:
         groups.setdefault(key, []).append(value)
     zero = spec._rzero
     return {key: total for key, values in groups.items()
-            if (total := _sum_raw(spec, values)) != zero}
+            if (total := spec._rsum(values)) != zero}
 
 
 def _mul_raw(spec: RingSpec, a: dict, b: dict) -> dict:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import compress, count
 
 from .errors import (CoefficientTooLarge, ModulusTooLarge, ParseError,
                      SpecMismatch)
@@ -42,7 +43,10 @@ class RingSpec:
     """Identity and arithmetic of one coefficient domain.  A ring is its
     (p, var_name): the integers without a p, F_p, or F_p[var_name]."""
 
-    __slots__ = ("p", "var_name", "_radd", "_rmul", "_rneg", "_rzero", "_rone")
+    # _reduce (an int to its raw value) and _div(b, a) (the raw t with
+    # a*t = b, or None) are set over int and F_p, the rings a scan takes
+    __slots__ = ("p", "var_name", "_radd", "_rmul", "_rneg", "_rzero", "_rone",
+                 "_reduce", "_div")
 
     def __init__(self, p: int | None = None, var_name: str | None = None):
         if p is not None:
@@ -64,10 +68,14 @@ class RingSpec:
             self._radd = operator.add
             self._rmul = operator.mul
             self._rneg = operator.neg
+            self._reduce = operator.pos
+            self._div = _int_div
         elif var_name is None:
             self._radd = lambda a, b, p=p: (a + b) % p
             self._rmul = lambda a, b, p=p: a * b % p
             self._rneg = lambda a, p=p: -a % p
+            self._reduce = p.__rmod__
+            self._div = lambda b, a, p=p: b * pow(a, -1, p) % p
         else:
             self._radd = lambda a, b, p=p: _ext_add(a, b, p)
             self._rmul = lambda a, b, p=p: _ext_mul(a, b, p)
@@ -150,10 +158,8 @@ class RingSpec:
         for c in coeffs:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise TypeError(f"cannot interpret {c!r} in {self}")
-        if self.p is None:
-            return value
         if self.var_name is None:
-            return value % self.p
+            return self._reduce(value)
         return _ext_trim([c % self.p for c in coeffs])
 
     def element(self, value) -> RingElement:
@@ -183,6 +189,21 @@ class RingSpec:
             return max(map(len, raws), default=0) - 1
         return 0
 
+    def _rsum(self, values: list):
+        """The sum of raw values, taken once.  Over F_p[t] the values add into
+        one list of residues, their zero slots skipped, which is reduced and
+        trimmed at the end: adding them pairwise copies the partial sum each
+        time, so a long sum of t^i is quadratic."""
+        if len(values) == 1:
+            return values[0]
+        if self.var_name is None:
+            return self._reduce(sum(values))
+        out = [0] * max(map(len, values))
+        for v in values:
+            for i in compress(count(), v):
+                out[i] += v[i]
+        return _ext_trim([c % self.p for c in out])
+
     def _rpow(self, a, e: int):
         return _square_multiply(self._rmul, self._rone, a, e)
 
@@ -193,13 +214,13 @@ class RingSpec:
         values, which may give zero.  Lifts add with plain int `+`.
 
         Over int and F_p a value, -1 too, lifts to itself and the product
-        is the ring's, which reduces into [0, p) over F_p; back reduces a
-        sum mod p when there is a p.  Over F_p[t] a value packs at t = 2^w,
+        is the ring's, which reduces into [0, p) over F_p; back is the
+        ring's `_reduce`.  Over F_p[t] a value packs at t = 2^w,
         one w-bit slot per residue, and the product is one int product.
         """
-        p = self.p
         if self.var_name is None:
-            return raws, self._rmul, -1, lambda a: a % p if p else a
+            return raws, self._rmul, -1, self._reduce
+        p = self.p
         raws = list(raws)
         # No slot overflows, so each slot is the coefficient of the same
         # product or sum taken over Z[t].  Every lift has slots in [0, p)
@@ -277,6 +298,11 @@ def _square_multiply(mul, one, base, e: int):
         if e:
             base = mul(base, base)
     return out
+
+
+def _int_div(b, a):
+    q, r = divmod(b, a)
+    return None if r else q
 
 
 def _ext_add(a, b, p):

@@ -5,6 +5,15 @@ import pytest
 
 from jacobipoly import EnumSpace, EquationForm, MultiPoly, RingSpec, \
     enumerate_solutions
+from jacobipoly.numtheory import _MR_LIMIT, is_prime
+
+
+def largest_prime_field():
+    """F_q for the largest prime q that a ring accepts."""
+    q = _MR_LIMIT - 1
+    while not is_prime(q):
+        q -= 1
+    return RingSpec.prime_field(q)
 
 
 def random_element(spec, rng):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import random_element, random_poly
+from conftest import largest_prime_field, random_element, random_poly
 from jacobipoly import (
     EquationForm,
     Monomial,
@@ -24,7 +24,6 @@ from jacobipoly import (
     swap,
 )
 from jacobipoly.errors import BudgetExceeded, WrongArity
-from jacobipoly.numtheory import _MR_LIMIT, is_prime
 
 Z = RingSpec.integers()
 F2 = RingSpec.prime_field(2)
@@ -68,14 +67,6 @@ def random_inputs(rng, specs):
         for spec in specs:
             for _ in range(count):
                 yield random_poly(spec, XY, rng, max_deg)
-
-
-def largest_prime_field():
-    """F_q for the largest prime q that a ring accepts."""
-    q = _MR_LIMIT - 1
-    while not is_prime(q):
-        q -= 1
-    return RingSpec.prime_field(q)
 
 
 def maximal_inputs():

@@ -352,16 +352,16 @@ def test_the_closing_polynomials_fix_the_values_tried(monkeypatch):
     # a closing polynomial is a list of (coefficient, exponent of c_k)
     solve = oracle._closing_values
     box, f7 = range(-5, 6), range(7)
-    assert solve([[(2, 1), (-6, 0)]], 0, box) == (3,)
-    assert solve([[(-6, 0), (2, 1)]], 0, box) == (3,)
-    assert solve([[(2, 1), (5, 0)]], 0, box) == ()
-    assert solve([[(1, 1), (-9, 0)]], 0, box) == ()
-    assert solve([[(3, 1), (1, 0)]], 7, f7) == (2,)
-    assert solve([[(4, 3)]], 7, f7) == (0,)
-    assert solve([[(1, 2), (1, 0)]], 7, f7) is f7
+    assert solve([[(2, 1), (-6, 0)]], Z, box) == (3,)
+    assert solve([[(-6, 0), (2, 1)]], Z, box) == (3,)
+    assert solve([[(2, 1), (5, 0)]], Z, box) == ()
+    assert solve([[(1, 1), (-9, 0)]], Z, box) == ()
+    assert solve([[(3, 1), (1, 0)]], RingSpec(7), f7) == (2,)
+    assert solve([[(4, 3)]], RingSpec(7), f7) == (0,)
+    assert solve([[(1, 2), (1, 0)]], RingSpec(7), f7) is f7
     # the first polynomial of a fixing shape decides, and the search still
     # tries the value against them all
-    assert solve([[(1, 2), (1, 0)], [(2, 1), (-6, 0)], [(4, 3)]], 0,
+    assert solve([[(1, 2), (1, 0)], [(2, 1), (-6, 0)], [(4, 3)]], Z,
                  box) == (3,)
 
     # each rule is hit in a search, and the search still finds exactly the
@@ -370,9 +370,9 @@ def test_the_closing_polynomials_fix_the_values_tried(monkeypatch):
     # which a wrong value fixed over Z changes without changing the leaves
     hits = set()
 
-    def spy(closing, p, values):
-        hits.add(_closing_rule(closing, p, values))
-        return solve(closing, p, values)
+    def spy(closing, spec, values):
+        hits.add(_closing_rule(closing, spec.p, values))
+        return solve(closing, spec, values)
 
     monkeypatch.setattr(oracle, "_closing_values", spy)
     for space, rules, nodes, brute in (

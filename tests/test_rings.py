@@ -1,10 +1,11 @@
 """Ring spec construction, canonical element arithmetic, and the axioms."""
 
+import functools
 import time
 
 import pytest
 
-from conftest import random_element
+from conftest import largest_prime_field, random_element
 from jacobipoly import RingSpec
 from jacobipoly.errors import (ModulusTooLarge, NotPrime, ParseError,
                                SpecMismatch)
@@ -19,6 +20,8 @@ F1000003 = RingSpec.prime_field(1000003)
 E1000003 = RingSpec.extension(1000003, "t")
 
 ALL_SPECS = (Z, F2, F3, F5, E3, E5, F1000003, E1000003)
+# the prime fields whose raw values a scan reduces and divides
+FIELDS = (F2, F3, F1000003, largest_prime_field())
 
 
 def test_parse_round_trip():
@@ -252,3 +255,69 @@ def test_generator_only_for_extensions():
     assert E3.generator().value == (0, 1)
     with pytest.raises(ValueError):
         F3.generator()
+
+
+# -- the raw arithmetic a scan and the family solve read ----------------------
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_reduce_is_the_residue_mod_p(spec, rng):
+    p = spec.p
+    ints = [0, 1, -1, p - 1, p, -p, p + 1, p * p + 3, -p**3 - 2, 10**40 + 7]
+    ints += [rng.randrange(-p**3, p**3) for _ in range(200)]
+    for v in ints:
+        assert spec._reduce(v) == v % p
+    for v in (0, 5, -5, -10**40):
+        assert Z._reduce(v) == v
+
+
+def test_div_over_the_integers_is_exact():
+    for a in (1, -1, 2, -2, 3, -7, 12, -12):
+        for t in range(-20, 21):
+            assert Z._div(a * t, a) == t
+    assert (Z._div(-6, -2), Z._div(6, -2), Z._div(-6, 2)) == (3, -3, -3)
+    assert Z._div(0, -5) == 0
+    # an indivisible pair has no quotient, whatever the signs
+    for b, a in ((7, 2), (-7, 2), (7, -2), (-7, -2), (1, 3), (-1, -3),
+                 (5, -10), (10**40 + 1, 10**20)):
+        assert Z._div(b, a) is None
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_div_over_fp_is_the_unique_solution(spec, rng):
+    p = spec.p
+    if p < 10:
+        pairs = [(b, a) for a in range(1, p) for b in range(-p, p)]
+    else:
+        units = [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(100)]
+        pairs = [(b, a) for a in units
+                 for b in (0, 1, -1, p - 1, -(p - 1), rng.randrange(-p, p))]
+    for b, a in pairs:
+        t = spec._div(b, a)
+        assert t in range(p) and (a * t - b) % p == 0
+        if p < 10:
+            assert [s for s in range(p) if (a * s - b) % p == 0] == [t]
+
+
+@pytest.mark.parametrize("spec", (Z, *FIELDS, E3, E1000003), ids=str)
+def test_rsum_is_the_pairwise_sum(spec, rng):
+    def check(raws):
+        assert spec._rsum(raws) == functools.reduce(spec._radd, raws)
+
+    for _ in range(300):
+        raws = [random_element(spec, rng).value
+                for _ in range(rng.randrange(1, 9))]
+        check(raws)
+        # terms that cancel leave the ring's zero
+        check(raws + [spec._rneg(v) for v in raws])
+    if spec.var_name is not None:
+        # a long sum of t^i, taken once and three times, which is 0 mod 3
+        powers = [(0,) * i + (1,) for i in range(500)]
+        check(powers)
+        check(powers * 3)
+        assert spec._rsum(powers * 3) == (() if spec.p == 3 else (3,) * 500)
+
+
+@pytest.mark.parametrize("spec", (Z, *FIELDS), ids=str)
+def test_lift_maps_back_through_reduce(spec, rng):
+    raws = [random_element(spec, rng).value for _ in range(4)]
+    assert spec._lift(raws, 2)[3] is spec._reduce
