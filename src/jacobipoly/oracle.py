@@ -28,7 +28,11 @@ and J5, whose terms mostly nest in y, are searched as the swap images of
 J1 and J6 (`_SWAP_IMAGE`), and `swap` turns each leaf back into P.  The
 generic defect depends only on the degree cap, the form and p, so it is
 expanded once per such key, and the last four are kept
-(`_defect_coefficients`) as tuples, which no search can change.
+(`_defect_coefficients`) as tuples, which no search can change.  J1 and
+J2 are cyclic, unchanged by x -> y -> z -> x, so each coefficient is
+repeated at the two other rotations of its key: the memo keeps one
+coefficient per rotation orbit, and the search rewrites a third of the
+terms.
 
 The search bounds its own work: the values it tries plus the terms it
 rewrites.  Past `_MAX_SEARCH_WORK` units it raises `BudgetExceeded`.  A
@@ -44,7 +48,7 @@ from collections import namedtuple
 
 from .classify import classify, family_members
 from .errors import BudgetExceeded, UnsupportedSpec
-from .jacobi import _XY, EquationForm, _compose, defect, swap
+from .jacobi import _CYCLIC, _XY, EquationForm, _compose, defect, swap
 from .poly import MultiPoly, _grade
 from .rings import RingSpec
 
@@ -56,8 +60,8 @@ _MAX_SCAN_DEGREE = 4
 _EXP_BITS = (_MAX_SCAN_DEGREE + 1).bit_length()
 # A unit of search work, a value tried or a term rewritten, took 0.23-1.6 us
 # over 25 spaces (Python 3.11, 2.1 GHz Xeon), so a search ends within about
-# 5-32 s.  At degree 4, zp:19 for j1 and j2, 14.6 M units (29 291 values
-# tried, 9.8 s), is accepted, and zp:23, 24.0 M units, is refused.
+# 5-32 s.  At degree 4, zp:31 for j1 and j2, 18.5 M units (123 683 values
+# tried, 11.8 s), is accepted, and zp:37, 30.5 M units, is refused.
 _MAX_SEARCH_WORK = 2 * 10**7
 
 # P solves J2 (J5) exactly when swap(P) solves J1 (J6).  The terms of J2 all
@@ -235,13 +239,20 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
     return {e: tuple((v, m) for m, v in f.items()) for e, f in acc.items()}
 
 
-# at degree 4 an entry holds 26-34 MiB (1.2 MiB over zp:3)
+# at degree 4 an entry holds 12 MiB for j1 and j2 and 34 MiB for j5 and j6
+# (0.9 and 1.4 MiB over zp:3)
 @functools.lru_cache(maxsize=4)
 def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
     """`_generic_defect`'s coefficients, keyed by the degree cap of the
     monomials, the form and p.  They are tuples: the search only files and
-    pops them, and builds new lists when it rewrites."""
-    return tuple(_generic_defect(monomials, form, p).values())
+    pops them, and builds new lists when it rewrites.  For a cyclic form
+    only the coefficient at the least rotation of each key is kept: the
+    other two are copies of it."""
+    acc = _generic_defect(monomials, form, p)
+    if form in _CYCLIC:
+        return tuple(f for e, f in acc.items()
+                     if e <= e[1:] + e[:1] and e <= e[2:] + e[:2])
+    return tuple(acc.values())
 
 
 def _closing_values(closing, spec: RingSpec, values):

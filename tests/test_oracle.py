@@ -400,11 +400,13 @@ def test_the_closing_polynomials_fix_the_values_tried(monkeypatch):
 
 
 def test_search_work_is_bounded(monkeypatch):
-    # 47 194 values tried and terms rewritten
+    # 16 016 values tried and terms rewritten; filing every rotation of a
+    # J1 coefficient took 47 194, past a bound of 20 000
     space = EnumSpace(F5, 3)
+    module = importlib.import_module("jacobipoly.oracle")
+    monkeypatch.setattr(module, "_MAX_SEARCH_WORK", 20_000)
     assert enumerate_solutions(space, EquationForm.J1).agreement
-    monkeypatch.setattr(importlib.import_module("jacobipoly.oracle"),
-                        "_MAX_SEARCH_WORK", 10_000)
+    monkeypatch.setattr(module, "_MAX_SEARCH_WORK", 10_000)
     with pytest.raises(BudgetExceeded, match="budget"):
         enumerate_solutions(space, EquationForm.J1)
 
@@ -435,6 +437,20 @@ def test_scan_memory_is_flat():
     assert peak < 2**20
 
 
+def _rotations(e):
+    return e, e[1:] + e[:1], e[2:] + e[:2]
+
+
+def _kept(monomials, form, p):
+    """The generic defect's coefficients that the memo keeps, in its order:
+    for J1 and J2 those at the least rotation of their key, for J5 and J6
+    all of them."""
+    generic = oracle._generic_defect(monomials, form, p)
+    if form in (EquationForm.J1, EquationForm.J2):
+        return [f for e, f in generic.items() if e == min(_rotations(e))]
+    return list(generic.values())
+
+
 def test_the_memo_holds_the_generic_defect_as_tuples():
     oracle._defect_coefficients.cache_clear()
     for space, form in ((EnumSpace(F3, 2), EquationForm.J1),
@@ -442,8 +458,7 @@ def test_the_memo_holds_the_generic_defect_as_tuples():
                         (EnumSpace(Z, 1, 6), EquationForm.J1)):
         p = space.spec.characteristic
         entry = oracle._defect_coefficients(space.monomials, form, p)
-        assert list(entry) == list(
-            oracle._generic_defect(space.monomials, form, p).values())
+        assert list(entry) == _kept(space.monomials, form, p)
         assert type(entry) is tuple
         for terms in entry:
             assert type(terms) is tuple and {type(t) for t in terms} == {tuple}
@@ -475,8 +490,30 @@ def test_a_refused_search_leaves_the_memo_intact(monkeypatch):
     hits = oracle._defect_coefficients.cache_info().hits
     assert enumerate_solutions(space, form) == cold
     assert oracle._defect_coefficients.cache_info().hits == hits + 1
-    assert list(oracle._defect_coefficients(space.monomials, form, 5)) == list(
-        oracle._generic_defect(space.monomials, form, 5).values())
+    assert list(oracle._defect_coefficients(space.monomials, form, 5)) == (
+        _kept(space.monomials, form, 5))
+
+
+def test_the_memo_keeps_one_coefficient_per_rotation_orbit():
+    # J1 and J2 sum one base at (x, y, z) and its two rotations, so each
+    # coefficient of their defect is the one at each rotation of its key,
+    # and the memo keeps only the one at the least rotation.  J5 and J6 are
+    # not cyclic above degree 0, and the memo keeps every coefficient
+    oracle._defect_coefficients.cache_clear()
+    for spec, caps in ((Z, range(4)), (F2, range(4)), (F3, range(5)),
+                       (F5, range(4))):
+        p = spec.characteristic
+        for cap in caps:
+            monomials = oracle._monomials(cap)
+            for form in EquationForm:
+                generic = {e: {m: c for c, m in f} for e, f in
+                           oracle._generic_defect(monomials, form, p).items()}
+                cyclic = all(generic.get(r) == f for e, f in generic.items()
+                             for r in _rotations(e))
+                assert cyclic == (form in (EquationForm.J1, EquationForm.J2)
+                                  or cap == 0)
+                assert list(oracle._defect_coefficients(
+                    monomials, form, p)) == _kept(monomials, form, p)
 
 
 def test_the_memo_keeps_at_most_four_entries():
