@@ -151,7 +151,7 @@ def family_members(space) -> frozenset[MultiPoly]:
         # where the space has no such monomial
         *heads, last = [
             space.coefficient_values if _ABCD[name] in space.monomials
-            else (0,) for name in family.__match_args__]
+            else (spec._rzero,) for name in family.__match_args__]
         for head in itertools.product(*heads):
             for t in _solve_last(family, head, last, spec):
                 out.add(make_family(family(*head, t), spec))
@@ -170,7 +170,7 @@ def _solve_last(family, head, values, spec: RingSpec):
     for r0, r1 in zip(*at):
         a, r = (r1 - r0).value, r0.value
         if a:
-            t = spec._div(-r, a)
+            t = spec._div(spec._rneg(r), a)
             values = (t,) if t is not None and t in values else ()
         elif r:
             return ()

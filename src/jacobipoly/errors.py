@@ -77,4 +77,4 @@ class UnsupportedSpec(AlgebraError):
 class BudgetExceeded(AlgebraError):
     """A computation would pass a fixed work bound: `defect`'s ring
     operations, the scan's degree cap, the search's values tried and terms
-    rewritten, or the n of numtheory's scans over every C(n, m)."""
+    rewritten, or numtheory's n and m, in its C(n, m) scans and digit loops."""

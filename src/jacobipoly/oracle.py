@@ -186,7 +186,7 @@ def enumerate_solutions(space: EnumSpace, form: EquationForm) -> EnumReport:
         # a leaf is swap(P); P's coefficients in monomial order are its place
         # in the odometer order
         polys = sorted(map(swap, polys), key=lambda p: [
-            p._terms.get(m, 0) for m in space.monomials])
+            p._terms.get(m, space.spec._rzero) for m in space.monomials])
     solutions = [p for p in polys if not defect(p, form)]
     agreement = set(solutions) == predicted_solutions(space, form)
     if agreement and form is EquationForm.J1:
@@ -265,12 +265,12 @@ def _closing_values(closing, spec: RingSpec, values):
     every value is tried."""
     for poly in closing:
         if len(poly) == 1:
-            return (0,)
+            return (spec._rzero,)
         if len(poly) == 2 and poly[0][1] + poly[1][1] == 1:
             (a, e), (b, _) = poly
             if not e:
                 a, b = b, a
-            t = spec._div(-b, a)
+            t = spec._div(spec._rneg(b), a)
             return () if t is None or t not in values else (t,)
     return values
 

@@ -192,8 +192,7 @@ class MultiPoly:
         if len(monomial) != len(self.vars):
             raise VarListMismatch(
                 f"monomial arity {len(monomial)} vs {len(self.vars)} variables")
-        raw = self._terms.get(monomial)
-        return self.spec.zero() if raw is None else RingElement(self.spec, raw)
+        return RingElement(self.spec, self._terms.get(monomial, self.spec._rzero))
 
     def terms(self):
         """Yield (Monomial, coefficient) pairs, graded-lex descending."""
@@ -225,12 +224,9 @@ class MultiPoly:
                 raise VarListMismatch(
                     f"variable lists differ: {self.vars} vs {other.vars}")
             return other._terms
-        if isinstance(other, (int, RingElement)) and not isinstance(other, bool):
-            raw = self.spec._coerce_raw(other)
-            if raw == self.spec._rzero:
-                return {}
-            return {(0,) * len(self.vars): raw}
-        return None
+        # a zero operand leaves a zero term, which `_collect` drops
+        raw = self.spec._operand(other)
+        return None if raw is None else {(0,) * len(self.vars): raw}
 
     def __add__(self, other):
         t = self._operand(other)
@@ -362,25 +358,21 @@ class MultiPoly:
         return cls._from_raw(spec, vars, terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        spec = self.spec
         pieces = []
         for m in sorted(self._terms, key=_grade, reverse=True):
-            raw = self._terms[m]
             body = _mono_body(m, self.vars)
-            neg = spec.p is None and raw < 0
-            coeff = spec._literal(-raw if neg else raw)
-            if spec.var_name is not None and len(raw) > 1:
+            # "-" leads a negative literal; one not all digits is parenthesized
+            coeff = self.spec._literal(self._terms[m])
+            neg = coeff.startswith("-")
+            coeff = coeff.removeprefix("-")
+            if not coeff.isdigit():
                 coeff = f"({coeff})"
             elif coeff == "1" and body:
                 coeff = ""
             term = "*".join(p for p in (coeff, body) if p)
-            if not pieces:
-                pieces.append(("-" if neg else "") + term)
-            else:
-                pieces.append((" - " if neg else " + ") + term)
-        return "".join(pieces)
+            sign = (" - " if neg else " + ") if pieces else ("-" if neg else "")
+            pieces.append(sign + term)
+        return "".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"<{self} over {self.spec} in {'/'.join(self.vars)}>"
@@ -465,7 +457,7 @@ class _Parser:
             if value != spec.var_name:
                 raise UnknownVariable(f"{value!r} is not the extension "
                                       f"variable {spec.var_name!r}")
-            raw = (0, 1)
+            raw = spec._rgen
         elif kind == "name":
             if value not in self.vars:
                 if value == spec.var_name:
@@ -486,8 +478,7 @@ class _Parser:
                 raise ParseError(
                     f"coefficient power too large: size {size} times "
                     f"exponent {e} exceeds {_MAX_POWER_SIZE}", caret)
-            # t^e is one monomial; squaring would build it in log2(e) products
-            raw = (0,) * e + (1,) if raw == (0, 1) else spec._rpow(raw, e)
+            raw = spec._rpow(raw, e)
         # degrees add up in a product; int products stay unbounded, since
         # their multiplication is fast and their printing is checked
         size = spec._size(coeff) + spec._size(raw)

@@ -46,7 +46,7 @@ class RingSpec:
     # _reduce (an int to its raw value) and _div(b, a) (the raw t with
     # a*t = b, or None) are set over int and F_p, the rings a scan takes
     __slots__ = ("p", "var_name", "_radd", "_rmul", "_rneg", "_rzero", "_rone",
-                 "_reduce", "_div")
+                 "_rgen", "_reduce", "_div")
 
     def __init__(self, p: int | None = None, var_name: str | None = None):
         if p is not None:
@@ -63,7 +63,8 @@ class RingSpec:
         self.p = p
         self.var_name = var_name
 
-        self._rzero, self._rone = (0, 1) if var_name is None else ((), (1,))
+        self._rzero, self._rone, self._rgen = (
+            (0, 1, None) if var_name is None else ((), (1,), (0, 1)))
         if p is None:
             self._radd = operator.add
             self._rmul = operator.mul
@@ -145,6 +146,12 @@ class RingSpec:
 
     # -- elements ---------------------------------------------------------
 
+    def _operand(self, value):
+        """The raw value of an int or element operand; None for other types."""
+        if isinstance(value, (int, RingElement)) and not isinstance(value, bool):
+            return self._coerce_raw(value)
+        return None
+
     def _coerce_raw(self, value):
         """The raw value of an element of this ring, of an int, or (for
         extensions) of a little-endian sequence of ints: the one path by
@@ -177,7 +184,7 @@ class RingSpec:
         """The extension variable as a ring element."""
         if self.var_name is None:
             raise ValueError(f"{self} has no generator")
-        return RingElement(self, (0, 1))
+        return RingElement(self, self._rgen)
 
     def _size(self, *raws) -> int:
         """The largest size of the raw values: floor(log2 |a|) over int and
@@ -205,6 +212,9 @@ class RingSpec:
         return _ext_trim([c % self.p for c in out])
 
     def _rpow(self, a, e: int):
+        # t^e is one monomial, which squaring would build in log2(e) products
+        if a == self._rgen and type(e) is int and e >= 0:
+            return (0,) * e + (1,)
         return _square_multiply(self._rmul, self._rone, a, e)
 
     def _lift(self, raws, dmax: int):
@@ -335,13 +345,8 @@ class RingElement:
         self.spec = spec
         self.value = value
 
-    def _raw_of(self, other):
-        if isinstance(other, (int, RingElement)) and not isinstance(other, bool):
-            return self.spec._coerce_raw(other)
-        return None
-
     def __add__(self, other):
-        raw = self._raw_of(other)
+        raw = self.spec._operand(other)
         if raw is None:
             return NotImplemented
         return RingElement(self.spec, self.spec._radd(self.value, raw))
@@ -349,7 +354,7 @@ class RingElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        raw = self._raw_of(other)
+        raw = self.spec._operand(other)
         if raw is None:
             return NotImplemented
         return RingElement(self.spec,
@@ -359,7 +364,7 @@ class RingElement:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        raw = self._raw_of(other)
+        raw = self.spec._operand(other)
         if raw is None:
             return NotImplemented
         return RingElement(self.spec, self.spec._rmul(self.value, raw))
@@ -375,9 +380,8 @@ class RingElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, RingElement):
             return self.spec == other.spec and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.spec._coerce_raw(other)
-        return NotImplemented
+        raw = self.spec._operand(other)
+        return NotImplemented if raw is None else self.value == raw
 
     def __hash__(self) -> int:
         return hash((self.spec, self.value))

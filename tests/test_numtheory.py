@@ -15,8 +15,10 @@ from jacobipoly import (
     lucas_factors,
     s2_parts,
 )
+from jacobipoly import numtheory
 from jacobipoly.errors import BudgetExceeded, ModulusTooLarge, NotInS2, NotPrime
-from jacobipoly.numtheory import _MAX_BINOMIAL_SCAN, _MR_BASES, _MR_LIMIT, _PSI
+from jacobipoly.numtheory import (_MAX_BINOMIAL_SCAN, _MAX_DIGIT_BITS,
+                                  _MR_BASES, _MR_LIMIT, _PSI)
 
 
 def strong_probable_prime(n, bases):
@@ -274,6 +276,36 @@ def test_cor2b_examples():
     assert cor2b_check(10, 2)   # conclusion holds: 10 is in s_2(2)
     with pytest.raises(ValueError):
         cor2b_check(0, 3)
+
+
+def test_cor2b_is_false_when_every_product_vanishes(monkeypatch):
+    # no n satisfies the hypothesis outside s_1 and s_2, so only a patched
+    # binom_mod_p reaches the answer False; 7 has base-2 digit sum 3
+    monkeypatch.setattr(numtheory, "binom_mod_p", lambda n, m, p: 0)
+    assert cor2b_check(7, 2) is False
+
+
+def test_digit_loops_refuse_long_arguments_at_once():
+    # the loops divide once per digit, so their time is quadratic in the
+    # length of n and m; one bit more than the bound is refused at once
+    long = 2**_MAX_DIGIT_BITS
+    for call in (lambda: digit_sum(long, 2),
+                 lambda: cor2b_check(long + 1, 2),
+                 lambda: s2_parts(long + 1, 2),
+                 lambda: binom_mod_p(5, long, 1000003),
+                 lambda: lucas_factors(long - 1, long, 3)):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="budget"):
+            call()
+        assert time.perf_counter() - t0 < 0.1
+    assert digit_sum(2**(_MAX_DIGIT_BITS - 1), 2) == 1
+    # the checks keep their order: the prime, the types, then the sign
+    with pytest.raises(NotPrime):
+        binom_mod_p(long, 1.0, 4)
+    with pytest.raises(TypeError):
+        lucas_factors(long, 1.0, 3)
+    with pytest.raises(ValueError):
+        binom_mod_p(long, -1, 3)
 
 
 def test_cor2b_scan_small():

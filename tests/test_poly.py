@@ -248,6 +248,30 @@ def test_print_round_trip_random(rng):
             assert str(MultiPoly.parse(str(p), spec)) == str(p)
 
 
+# one case per branch of the printer: signs of int terms, 1 and -1 with and
+# without a monomial, zero, and F_p[t] constants, (t), (t^3) and sums
+PRINTED = [
+    (Z, {(1, 0): -3, (0, 1): 5, (0, 0): -7}, "-3*x + 5*y - 7"),
+    (Z, {(1, 0): 1, (0, 1): -1}, "x - y"),
+    (Z, {(1, 0): -1, (0, 0): 1}, "-x + 1"),
+    (Z, {(0, 0): -1}, "-1"),
+    (Z, {}, "0"),
+    (F3, {(1, 0): 2, (0, 0): 1}, "2*x + 1"),
+    (E3, {(1, 0): [2], (0, 1): [0, 1], (0, 0): [0, 0, 0, 1]},
+     "2*x + (t)*y + (t^3)"),
+    (E3, {(1, 1): [1, 0, 2], (1, 0): [1], (0, 0): [1]},
+     "(1+2*t^2)*x*y + x + 1"),
+    (E3, {(0, 0): [2, 1]}, "(2+t)"),
+]
+
+
+@pytest.mark.parametrize("spec, terms, text", PRINTED)
+def test_print_golden_cases(spec, terms, text):
+    p = MultiPoly(spec, XY, terms)
+    assert str(p) == text
+    assert MultiPoly.parse(text, spec) == p
+
+
 def test_print_order_is_graded_lex_descending():
     p = MultiPoly.parse("y + x + x*y + 1 + x^2", Z)
     assert str(p) == "x^2 + x*y + x + y + 1"
@@ -330,6 +354,11 @@ def test_scalar_mixing():
 def test_cross_spec_arithmetic_rejected():
     with pytest.raises(SpecMismatch):
         MultiPoly.parse("x", Z) + MultiPoly.parse("x", F3)
+    # a ring element of another ring, on either side
+    with pytest.raises(SpecMismatch):
+        MultiPoly.parse("x", Z) + F3.one()
+    with pytest.raises(SpecMismatch):
+        E3.generator() * MultiPoly.parse("x", F3)
     with pytest.raises(VarListMismatch):
         MultiPoly.parse("x", Z) + MultiPoly.parse("x", Z, XYZ)
 

@@ -225,6 +225,9 @@ def test_int_coercion_in_operators():
         with pytest.raises(TypeError):
             op(F3.element(1))
     assert F3.element(1) != "a"
+    assert (F3.element(1) == "x") is False
+    with pytest.raises(TypeError):
+        E3.generator() + True
 
 
 def test_element_construction():
@@ -255,6 +258,16 @@ def test_generator_only_for_extensions():
     assert E3.generator().value == (0, 1)
     with pytest.raises(ValueError):
         F3.generator()
+
+
+def test_generator_powers_are_one_monomial():
+    t = E3.generator()
+    for e in (0, 1, 1024):
+        assert E3._rpow(t.value, e) == (0,) * e + (1,)
+        assert t**e == E3.element([0] * e + [1])
+    for e in (-1, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            t**e
 
 
 # -- the raw arithmetic a scan and the family solve read ----------------------
