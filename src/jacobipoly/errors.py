@@ -76,5 +76,5 @@ class UnsupportedSpec(AlgebraError):
 
 class BudgetExceeded(AlgebraError):
     """A computation would pass a fixed work bound: `defect`'s ring
-    operations, the scan's degree cap, the search's values tried and terms
-    rewritten, or numtheory's n and m, in its C(n, m) scans and digit loops."""
+    operations, a product's term products, the scan's degree cap, work and
+    leaves, or numtheory's n and m, in its C(n, m) scans and digit loops."""

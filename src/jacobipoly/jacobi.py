@@ -58,15 +58,6 @@ _COMPOSITIONS = {
     EquationForm.J6: ((1, "R", "xyz"), (1, "L", "xzy"), (-1, "L", "xyz")),
 }
 
-# The forms that are one base, with sign +1, at xyz, yzx and zxy (J1 and
-# J2): their defect is unchanged by x -> y -> z -> x, so its coefficient at
-# (a, b, c) is the one at (b, c, a) and at (c, a, b).
-_CYCLIC = frozenset(
-    form for form, terms in _COMPOSITIONS.items()
-    if len({base for _, base, _ in terms}) == 1
-    and sorted((sign, args) for sign, _, args in terms)
-    == [(1, "xyz"), (1, "yzx"), (1, "zxy")])
-
 _XY = ("x", "y")
 _XYZ = ("x", "y", "z")
 

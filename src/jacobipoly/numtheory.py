@@ -60,9 +60,9 @@ def is_prime(n: int) -> bool:
         raise TypeError(f"the modulus must be an int, got {type(n).__name__}")
     if n <= 41:
         return n in _SMALL_PRIMES
-    if n >= _MR_LIMIT:
-        raise ModulusTooLarge(
-            f"{n} is too large to decide primality (limit {_MR_LIMIT})")
+    if n >= _MR_LIMIT:  # n's size: n may be past the int-to-text limit
+        raise ModulusTooLarge(f"a {n.bit_length()}-bit n is too large to "
+                              f"decide primality (limit {_MR_LIMIT})")
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -180,7 +180,8 @@ def s2_parts(n: int, p: int) -> tuple[int, int]:
     """
     digits = base_p_digits(n, p)
     if sum(digits) != 2:
-        raise NotInS2(f"{n} has base-{p} digit sum {sum(digits)}, not 2")
+        raise NotInS2(f"a {n.bit_length()}-bit n has base-{p} digit sum "
+                      f"{sum(digits)}, not 2")
     low, high = (i for i, d in enumerate(digits) for _ in range(d))
     return p**high, p**low
 

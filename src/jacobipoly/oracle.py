@@ -26,18 +26,15 @@ each one still goes through the formal `defect`, so the search only ever
 rejects candidates.  The search sets the x-heavy positions first, so J2
 and J5, whose terms mostly nest in y, are searched as the swap images of
 J1 and J6 (`_SWAP_IMAGE`), and `swap` turns each leaf back into P.  The
-generic defect depends only on the degree cap, the form and p, so it is
-expanded once per such key, and the last four are kept
-(`_defect_coefficients`) as tuples, which no search can change.  J1 and
-J2 are cyclic, unchanged by x -> y -> z -> x, so each coefficient is
-repeated at the two other rotations of its key: the memo keeps one
-coefficient per rotation orbit, and the search rewrites a third of the
-terms.
+generic defect depends only on the degree cap, the form and p, so the last
+four expansions are kept (`_defect_coefficients`), each distinct
+coefficient once, as a repeat prunes exactly what the first one does: J1
+and J2, unchanged by x -> y -> z -> x, have most of theirs at three keys.
 
-The search bounds its own work: the values it tries plus the terms it
-rewrites.  Past `_MAX_SEARCH_WORK` units it raises `BudgetExceeded`.  A
-position that no closing polynomial fixes still tries every value, so a
-space with more coefficient values than that is refused when it is built.
+The search raises `BudgetExceeded` past `_MAX_SEARCH_WORK` units of work,
+values tried plus terms rewritten, or past `_MAX_SCAN_LEAVES` leaves.  A
+space with more coefficient values than the work bound is refused when it
+is built: a position that no closing polynomial fixes tries every one.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from collections import namedtuple
 
 from .classify import classify, family_members
 from .errors import BudgetExceeded, UnsupportedSpec
-from .jacobi import _CYCLIC, _XY, EquationForm, _compose, defect, swap
+from .jacobi import _XY, EquationForm, _compose, defect, swap
 from .poly import MultiPoly, _grade
 from .rings import RingSpec
 
@@ -63,6 +60,9 @@ _EXP_BITS = (_MAX_SCAN_DEGREE + 1).bit_length()
 # 5-32 s.  At degree 4, zp:31 for j1 and j2, 18.5 M units (123 683 values
 # tried, 11.8 s), is accepted, and zp:37, 30.5 M units, is refused.
 _MAX_SEARCH_WORK = 2 * 10**7
+# A leaf costs a `defect` and a family member, about 0.1 ms: zp:10007 at
+# degree 1 (10 006 leaves) takes 1.1 s, and zp:1000003 there took 197 s.
+_MAX_SCAN_LEAVES = 10**4
 
 # P solves J2 (J5) exactly when swap(P) solves J1 (J6).  The terms of J2 all
 # nest in the second argument, and most of J5's: the forms fix this rule.
@@ -207,20 +207,17 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
     monomials[n] within the degree cap, as its nonzero coefficients, keyed
     by (x, y, z) exponent triples.
 
-    A coefficient is a tuple of (int, monomial) terms, a polynomial in the
-    c_n.  A monomial holds the exponent of c_n in its bits from n*_EXP_BITS
-    up, so the product of two monomials is their sum: (3, 1 | 2 << 2 *
-    _EXP_BITS) is 3*c_0*c_2^2.  Integers are reduced mod p as they are
-    expanded (not at all for p = 0), so the result holds in every ring of
-    characteristic p.
+    A coefficient is a dict {monomial: int}, a polynomial in the c_n.  A
+    monomial holds the exponent of c_n in its bits from n*_EXP_BITS up, so
+    the product of two monomials is their sum: {1 | 2 << 2 * _EXP_BITS: 3}
+    is 3*c_0*c_2^2.  Integers are reduced mod p as they are expanded (not
+    at all for p = 0), so the result holds in every ring of characteristic
+    p.
     """
-    # a polynomial in the c_n is a dict {monomial: int}
+    # every product `_compose` takes has a one-term factor, a c_n or -1, so
+    # the products of the terms have distinct monomials
     def mul(f: dict, g: dict) -> dict:
-        out: dict = {}
-        for m, v in f.items():
-            for n, w in g.items():
-                out[m + n] = out.get(m + n, 0) + v * w
-        return out
+        return {m + n: v * w for m, v in f.items() for n, w in g.items()}
 
     def add(out: dict, key, f: dict) -> None:
         into = out.setdefault(key, {})
@@ -235,24 +232,24 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
 
     terms = {mono: {1 << _EXP_BITS * n: 1}
              for n, mono in enumerate(monomials)}
-    acc = _compose(form, terms, {0: 1}, {0: -1}, mul, add)
-    return {e: tuple((v, m) for m, v in f.items()) for e, f in acc.items()}
+    return _compose(form, terms, {0: 1}, {0: -1}, mul, add)
 
 
 # at degree 4 an entry holds 12 MiB for j1 and j2 and 34 MiB for j5 and j6
-# (0.9 and 1.4 MiB over zp:3)
+# (0.7 and 1.7 MiB over zp:3)
 @functools.lru_cache(maxsize=4)
 def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
-    """`_generic_defect`'s coefficients, keyed by the degree cap of the
-    monomials, the form and p.  They are tuples: the search only files and
-    pops them, and builds new lists when it rewrites.  For a cyclic form
-    only the coefficient at the least rotation of each key is kept: the
-    other two are copies of it."""
-    acc = _generic_defect(monomials, form, p)
-    if form in _CYCLIC:
-        return tuple(f for e, f in acc.items()
-                     if e <= e[1:] + e[:1] and e <= e[2:] + e[:2])
-    return tuple(acc.values())
+    """Each distinct coefficient of `_generic_defect` once, in its order,
+    as a tuple of (int, monomial) terms that no search can change.  Equal
+    ones are found within buckets of equal length and monomial sum."""
+    buckets: dict = {}
+    kept = []
+    for f in _generic_defect(monomials, form, p).values():
+        bucket = buckets.setdefault((len(f), sum(f)), [])
+        if f not in bucket:
+            bucket.append(f)
+            kept.append(tuple((v, m) for m, v in f.items()))
+    return tuple(kept)
 
 
 def _closing_values(closing, spec: RingSpec, values):
@@ -281,7 +278,8 @@ def _search(space: EnumSpace, form: EquationForm):
     number of nodes visited: the values tried at each position, pruned or
     not.  It starts from the cached `_defect_coefficients` of the space's
     degree cap, the form and p.  Raises `BudgetExceeded` once the nodes
-    plus the terms rewritten pass `_MAX_SEARCH_WORK`."""
+    plus the terms rewritten pass `_MAX_SEARCH_WORK`, or the leaves
+    `_MAX_SCAN_LEAVES`."""
     spec = space.spec
     p, reduce = spec.characteristic, spec._reduce
     values = space.coefficient_values
@@ -352,8 +350,11 @@ def _search(space: EnumSpace, form: EquationForm):
             else:
                 if k + 1 < n:
                     descend(k + 1)
-                else:
+                elif len(leaves) < _MAX_SCAN_LEAVES:
                     leaves.append(tuple(combo))
+                else:
+                    raise BudgetExceeded(f"the search passed its bound of "
+                                         f"{_MAX_SCAN_LEAVES} leaves")
             while len(filed) > mark:
                 buckets[filed.pop()].pop()
 

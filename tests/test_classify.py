@@ -163,7 +163,8 @@ def test_coefficient_system_is_the_generic_j1_defect(rng):
                                      EquationForm.J1, 0)
     assert {xyz: MultiPoly(Z, abcd, {
         tuple(m >> bits * n & (1 << bits) - 1 for n in range(4)): k
-        for k, m in terms}) for xyz, terms in generic.items()} == system
+        for m, k in terms.items()})
+        for xyz, terms in generic.items()} == system
 
     # system_check's residuals are these coefficients, in its order
     for spec in (Z, F2, F3, F5, F7, E3, E5):

@@ -325,7 +325,7 @@ def test_generic_defect_is_the_defect(rng):
                     value = {}
                     for e, terms in generic.items():
                         total = spec.zero()
-                        for k, mono in terms:
+                        for mono, k in terms.items():
                             t = spec.element(k)
                             for n in range(len(monomials)):
                                 for _ in range(mono >> bits * n
@@ -347,12 +347,13 @@ def test_generic_defect_exponents_fit_their_field():
     cap, bits = oracle._MAX_SCAN_DEGREE, oracle._EXP_BITS
     field = (1 << bits) - 1
     generic = oracle._generic_defect([(cap, 0), (0, 1)], EquationForm.J1, 0)
-    monos = [m for terms in generic.values() for _, m in terms]
+    monos = [m for terms in generic.values() for m in terms]
     assert max(m & field for m in monos) == cap + 1 <= field
     assert all(m >> 2 * bits == 0 for m in monos)
     assert {(m & field) + (m >> bits) for m in monos} == {1, cap + 1}
     # read with the field width, it is the defect of 2*x^cap + 3*y
-    value = {e: sum(k * 2 ** (m & field) * 3 ** (m >> bits) for k, m in terms)
+    value = {e: sum(k * 2 ** (m & field) * 3 ** (m >> bits)
+                    for m, k in terms.items())
              for e, terms in generic.items()}
     p = MultiPoly(Z, XY, {(cap, 0): 2, (0, 1): 3})
     assert MultiPoly(Z, XYZ, value) == defect(p, EquationForm.J1)

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from jacobipoly import (
+    RingSpec,
     base_p_digits,
     binom_mod_p,
     cor2a_check,
@@ -337,3 +338,24 @@ def test_binomial_scans_refuse_n_past_their_bound_at_once():
         cor2a_check(2**40 + 3, 2)
     assert cor2b_check(2**40, 2) and cor2b_check(2**40 + 1, 2)
     assert cor2b_check(2 * 7**300, 7)
+
+
+# n past the interpreter's int-to-text limit of 4 300 digits: an error
+# message that formatted n would raise a bare ValueError instead
+HUGE, HUGE_S3 = 10**5000, 2**16000 + 2**10 + 1
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: is_prime(HUGE), ModulusTooLarge),
+    (lambda: RingSpec(HUGE), ModulusTooLarge),
+    (lambda: RingSpec(HUGE, "t"), ModulusTooLarge),
+    (lambda: binom_mod_p(3, 1, HUGE), ModulusTooLarge),
+    (lambda: lucas_factors(3, 1, HUGE), ModulusTooLarge),
+    (lambda: digit_sum(5, HUGE), ModulusTooLarge),
+    (lambda: s2_parts(HUGE_S3, 2), NotInS2),
+    (lambda: cor2a_check(HUGE_S3, 2), NotInS2),
+], ids=["is_prime", "RingSpec", "RingSpec-t", "binom_mod_p",
+        "lucas_factors", "digit_sum", "s2_parts", "cor2a_check"])
+def test_huge_integers_raise_their_named_error(call, error):
+    with pytest.raises(error, match="-bit n"):
+        call()

@@ -411,6 +411,22 @@ def test_search_work_is_bounded(monkeypatch):
         enumerate_solutions(space, EquationForm.J1)
 
 
+def test_search_leaves_are_bounded(monkeypatch):
+    # J1 over F_p, p != 3, has p - 1 solutions at degree 1, and each leaf
+    # goes through defect: zp:1000003 ran 197 s and took 912 MB
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="leaves"):
+        enumerate_solutions(EnumSpace(RingSpec(1000003), 1), EquationForm.J1)
+    assert time.perf_counter() - t0 < 2
+    space = EnumSpace(F5, 1)
+    monkeypatch.setattr(oracle, "_MAX_SCAN_LEAVES", 4)
+    assert enumerate_solutions(space, EquationForm.J1).checked == 4
+    monkeypatch.setattr(oracle, "_MAX_SCAN_LEAVES", 3)
+    for form in (EquationForm.J1, EquationForm.J2):
+        with pytest.raises(BudgetExceeded, match="3 leaves"):
+            enumerate_solutions(space, form)
+
+
 def test_degree_four_scans_agree_with_the_families():
     # 2^25 candidates: the search at the degree cap, whose generic defect
     # has exponents up to 5
@@ -443,12 +459,14 @@ def _rotations(e):
 
 def _kept(monomials, form, p):
     """The generic defect's coefficients that the memo keeps, in its order:
-    for J1 and J2 those at the least rotation of their key, for J5 and J6
-    all of them."""
-    generic = oracle._generic_defect(monomials, form, p)
-    if form in (EquationForm.J1, EquationForm.J2):
-        return [f for e, f in generic.items() if e == min(_rotations(e))]
-    return list(generic.values())
+    each distinct one once, first occurrence first, as a tuple of
+    (int, monomial) terms."""
+    seen, kept = set(), []
+    for f in oracle._generic_defect(monomials, form, p).values():
+        if (key := frozenset(f.items())) not in seen:
+            seen.add(key)
+            kept.append(tuple((v, m) for m, v in f.items()))
+    return kept
 
 
 def test_the_memo_holds_the_generic_defect_as_tuples():
@@ -497,8 +515,8 @@ def test_a_refused_search_leaves_the_memo_intact(monkeypatch):
 def test_the_memo_keeps_one_coefficient_per_rotation_orbit():
     # J1 and J2 sum one base at (x, y, z) and its two rotations, so each
     # coefficient of their defect is the one at each rotation of its key,
-    # and the memo keeps only the one at the least rotation.  J5 and J6 are
-    # not cyclic above degree 0, and the memo keeps every coefficient
+    # and the memo, which keeps each distinct coefficient once, keeps at
+    # most one per orbit.  J5 and J6 are not cyclic above degree 0
     oracle._defect_coefficients.cache_clear()
     for spec, caps in ((Z, range(4)), (F2, range(4)), (F3, range(5)),
                        (F5, range(4))):
@@ -506,14 +524,52 @@ def test_the_memo_keeps_one_coefficient_per_rotation_orbit():
         for cap in caps:
             monomials = oracle._monomials(cap)
             for form in EquationForm:
-                generic = {e: {m: c for c, m in f} for e, f in
-                           oracle._generic_defect(monomials, form, p).items()}
+                generic = oracle._generic_defect(monomials, form, p)
                 cyclic = all(generic.get(r) == f for e, f in generic.items()
                              for r in _rotations(e))
                 assert cyclic == (form in (EquationForm.J1, EquationForm.J2)
                                   or cap == 0)
-                assert list(oracle._defect_coefficients(
-                    monomials, form, p)) == _kept(monomials, form, p)
+                entry = oracle._defect_coefficients(monomials, form, p)
+                assert list(entry) == _kept(monomials, form, p)
+                if cyclic:
+                    # the coefficients of an orbit are equal, so at most
+                    # one of them is kept
+                    orbits = {min(_rotations(e)) for e in generic}
+                    assert len(entry) <= len(orbits)
+
+
+def test_the_memo_files_each_distinct_coefficient_once():
+    # at d = 1 over Z, J1's distinct coefficients are system_check's four
+    # residuals and J6's the seven of the d = 1 classification.  J1 keeps
+    # one per rotation orbit, 38 at zp:3 d2 and 1 065 at zp:5 d4, but at
+    # zp:2 d4 two orbits coincide mod 2 (606 orbits); J6 keeps 1 252 of
+    # its 1 755 coefficients at zp:2 d4
+    for spec, cap, form, size in ((Z, 1, EquationForm.J1, 4),
+                                  (Z, 1, EquationForm.J6, 7),
+                                  (F3, 2, EquationForm.J1, 38),
+                                  (F3, 2, EquationForm.J2, 38),
+                                  (F5, 4, EquationForm.J1, 1065),
+                                  (F2, 4, EquationForm.J1, 605),
+                                  (F2, 4, EquationForm.J6, 1252)):
+        oracle._defect_coefficients.cache_clear()
+        monomials, p = oracle._monomials(cap), spec.characteristic
+        entry = oracle._defect_coefficients(monomials, form, p)
+        assert len(entry) == size
+        assert list(entry) == _kept(monomials, form, p)
+    # the four residuals 3A^2, 3BD + 3D, 2AB + AC and AD + B^2 + BC + C,
+    # the monomials of A, B, C and D being c_0, c_1, c_2 and c_3
+    bits = oracle._EXP_BITS
+    entry = oracle._defect_coefficients(oracle._monomials(1),
+                                        EquationForm.J1, 0)
+    residuals = {frozenset((sum(e << bits * n for n, e in enumerate(mono)), k)
+                           for mono, k in terms.items())
+                 for terms in ({(2, 0, 0, 0): 3},
+                               {(0, 1, 0, 1): 3, (0, 0, 0, 1): 3},
+                               {(1, 1, 0, 0): 2, (1, 0, 1, 0): 1},
+                               {(1, 0, 0, 1): 1, (0, 2, 0, 0): 1,
+                                (0, 1, 1, 0): 1, (0, 0, 1, 0): 1})}
+    assert {frozenset((m, k) for k, m in terms) for terms in entry} == (
+        residuals)
 
 
 def test_the_memo_keeps_at_most_four_entries():

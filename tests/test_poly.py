@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import random_element, random_poly
-from jacobipoly import Monomial, MultiPoly, RingSpec, errors
+from jacobipoly import Monomial, MultiPoly, RingSpec, errors, poly
 from jacobipoly.errors import (
     CoefficientNotInRing,
     ParseError,
@@ -538,3 +538,23 @@ def test_non_integer_exponents_are_value_errors():
         MultiPoly(Z, XY, {(1.5, 0): 1})
     with pytest.raises(ValueError):
         MultiPoly(Z, XY, {(True, False): 2})
+
+
+def test_products_are_bounded(monkeypatch):
+    # (x+y+1)**200 would square 2 145 terms after the 561 of (x+y+1)**32:
+    # it used to run 38 s, and the 561 squared are refused at once
+    p = MultiPoly.parse("x + y + 1", Z)
+    t0 = time.perf_counter()
+    with pytest.raises(errors.BudgetExceeded, match="561 by 561 terms"):
+        p ** 200
+    assert time.perf_counter() - t0 < 0.1
+    assert len((p ** 50)._terms) == 1326  # 190 by 561 terms
+    # the bound is on len(a) * len(b), at *, ** and substitute alike
+    monkeypatch.setattr(poly, "_MAX_PRODUCT_TERMS", 6)
+    q = MultiPoly.parse("x^2 + x + 1", Z)
+    assert q * MultiPoly.parse("y + 1", Z) == MultiPoly.parse(
+        "x^2*y + x*y + y + x^2 + x + 1", Z)
+    for call in (lambda: q * q, lambda: q ** 2,
+                 lambda: q.substitute({"x": q})):
+        with pytest.raises(errors.BudgetExceeded, match="3 by 3 terms"):
+            call()
