@@ -31,6 +31,15 @@ four expansions are kept (`_defect_coefficients`), each distinct
 coefficient once, as a repeat prunes exactly what the first one does: J1
 and J2, unchanged by x -> y -> z -> x, have most of theirs at three keys.
 
+A packed monomial holds the exponent of c_0 in its top field and that of
+the last c_n in its lowest, so the top term of a polynomial holds its least
+unset c_n.  The memo keeps each coefficient filed, its terms in ascending
+monomial order, and a search starts from a copy of its buckets.  Setting
+c_k = 0 drops the terms that hold c_k, and in a polynomial still in that
+order they are the terms from the first one at c_k's field up: one
+bisection and a slice.  Setting c_k to another value rewrites term by term
+and leaves the terms unordered, so a later c_k = 0 filters them one by one.
+
 The search raises `BudgetExceeded` past `_MAX_SEARCH_WORK` units of work,
 values tried plus terms rewritten, or past `_MAX_SCAN_LEAVES` leaves.  A
 space with more coefficient values than the work bound is refused when it
@@ -41,6 +50,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from bisect import bisect_left
 from collections import namedtuple
 
 from .classify import classify, family_members
@@ -55,14 +66,17 @@ from .rings import RingSpec
 # of P up to the cap, so an exponent in `_generic_defect` is at most cap + 1.
 _MAX_SCAN_DEGREE = 4
 _EXP_BITS = (_MAX_SCAN_DEGREE + 1).bit_length()
-# A unit of search work, a value tried or a term rewritten, took 0.23-1.6 us
-# over 25 spaces (Python 3.11, 2.1 GHz Xeon), so a search ends within about
-# 5-32 s.  At degree 4, zp:31 for j1 and j2, 18.5 M units (123 683 values
-# tried, 11.8 s), is accepted, and zp:37, 30.5 M units, is refused.
+# A unit of search work, a value tried or a term rewritten, took 0.076-0.95 us
+# over 24 spaces, zp:3, zp:5 and zp:7 at degrees 1-4 for j1 and j6 (Python
+# 3.11, 2.1 GHz Xeon), so a search ends within about 1.5-19 s.  At degree 4,
+# zp:31 for j1 and j2, 18.5 M units (123 683 values tried, 9.5 s), is
+# accepted, and zp:37, 30.5 M units, is refused.
 _MAX_SEARCH_WORK = 2 * 10**7
 # A leaf costs a `defect` and a family member, about 0.1 ms: zp:10007 at
 # degree 1 (10 006 leaves) takes 1.1 s, and zp:1000003 there took 197 s.
 _MAX_SCAN_LEAVES = 10**4
+# the packed monomial of an (int, monomial) term
+_MONOMIAL = operator.itemgetter(1)
 
 # P solves J2 (J5) exactly when swap(P) solves J1 (J6).  The terms of J2 all
 # nest in the second argument, and most of J5's: the forms fix this rule.
@@ -207,12 +221,12 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
     monomials[n] within the degree cap, as its nonzero coefficients, keyed
     by (x, y, z) exponent triples.
 
-    A coefficient is a dict {monomial: int}, a polynomial in the c_n.  A
-    monomial holds the exponent of c_n in its bits from n*_EXP_BITS up, so
-    the product of two monomials is their sum: {1 | 2 << 2 * _EXP_BITS: 3}
-    is 3*c_0*c_2^2.  Integers are reduced mod p as they are expanded (not
-    at all for p = 0), so the result holds in every ring of characteristic
-    p.
+    A coefficient is a dict {monomial: int}, a polynomial in the c_n.  Of N
+    monomials, a monomial holds the exponent of c_n in its bits from
+    (N - 1 - n)*_EXP_BITS up, so the product of two monomials is their sum,
+    and its top field is its least c_n: at N = 3, {1 | 2 << 2 * _EXP_BITS: 3}
+    is 3*c_0^2*c_2.  Integers are reduced mod p as they are expanded (not at
+    all for p = 0), so the result holds in every ring of characteristic p.
     """
     # every product `_compose` takes has a one-term factor, a c_n or -1, so
     # the products of the terms have distinct monomials
@@ -230,7 +244,8 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
         if not into:
             del out[key]
 
-    terms = {mono: {1 << _EXP_BITS * n: 1}
+    last = len(monomials) - 1
+    terms = {mono: {1 << _EXP_BITS * (last - n): 1}
              for n, mono in enumerate(monomials)}
     return _compose(form, terms, {0: 1}, {0: -1}, mul, add)
 
@@ -239,17 +254,24 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
 # (0.7 and 1.7 MiB over zp:3)
 @functools.lru_cache(maxsize=4)
 def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
-    """Each distinct coefficient of `_generic_defect` once, in its order,
-    as a tuple of (int, monomial) terms that no search can change.  Equal
-    ones are found within buckets of equal length and monomial sum."""
-    buckets: dict = {}
-    kept = []
+    """Each distinct coefficient of `_generic_defect` once, filed as the
+    search starts: bucket k holds a (mask, terms) pair for each one whose
+    least c_n is c_k, in the expansion's order, where mask is the OR of its
+    monomials and terms a tuple of (int, monomial) pairs in ascending
+    monomial order, which no search can change.  Equal ones are found
+    within groups of equal length and monomial sum."""
+    groups: dict = {}
+    buckets: list = [[] for _ in monomials]
+    last = len(monomials) - 1
     for f in _generic_defect(monomials, form, p).values():
-        bucket = buckets.setdefault((len(f), sum(f)), [])
-        if f not in bucket:
-            bucket.append(f)
-            kept.append(tuple((v, m) for m, v in f.items()))
-    return tuple(kept)
+        group = groups.setdefault((len(f), sum(f)), [])
+        if f not in group:
+            group.append(f)
+            # every term has a c_n, so the mask is nonzero
+            mask = functools.reduce(operator.or_, f)
+            buckets[last - (mask.bit_length() - 1) // _EXP_BITS].append(
+                (mask, tuple(sorted(zip(f.values(), f), key=_MONOMIAL))))
+    return tuple(map(tuple, buckets))
 
 
 def _closing_values(closing, spec: RingSpec, values):
@@ -284,11 +306,12 @@ def _search(space: EnumSpace, form: EquationForm):
     p, reduce = spec.characteristic, spec._reduce
     values = space.coefficient_values
     n = len(space.monomials)
-    field = (1 << _EXP_BITS) - 1
+    last = n - 1
     # bucket k holds (mask, terms) for each polynomial whose least unset c_n
     # is c_k, reduced by c_0, ..., c_(k-1); mask is the OR of its monomials.
-    # filed logs the bucket of every filing, so a node can undo its own
-    buckets = [[] for _ in range(n)]
+    # It starts as the memo's filing.  filed logs the bucket of every later
+    # filing, so a node can undo its own
+    buckets = list(map(list, _defect_coefficients(space.monomials, form, p)))
     filed: list[int] = []
 
     def file(terms) -> bool:
@@ -298,27 +321,28 @@ def _search(space: EnumSpace, form: EquationForm):
             mask |= m
         if not mask:  # a constant, nonzero unless no term is left
             return not terms
-        k = ((mask & -mask).bit_length() - 1) // _EXP_BITS
+        k = last - (mask.bit_length() - 1) // _EXP_BITS
         buckets[k].append((mask, terms))
         filed.append(k)
         return True
 
-    for terms in _defect_coefficients(space.monomials, form, p):
-        file(terms)  # every term has a c_n, so none is a constant
     combo = [0] * n
     leaves = []
     nodes = rewritten = 0
 
     def descend(k: int) -> None:
         nonlocal nodes, rewritten
-        s = k * _EXP_BITS
-        top = 1 << s + _EXP_BITS
+        # c_k is the top field of every polynomial in bucket k, so a term
+        # holds c_k exactly when its monomial is at least 1 << s
+        s = (last - k) * _EXP_BITS
+        bound = 1 << s
+        low = bound - 1
         # a polynomial in c_k alone is decided by the value of c_k, so these
         # are read before anything is rewritten (filing them instead made
         # the counted work 2-3x: zp:10007 at degree 0, zp:1009 at 1)
         closing = [[(c, m >> s) for c, m in terms]
-                   for mask, terms in buckets[k] if mask < top]
-        rest = [terms for mask, terms in buckets[k] if mask >= top]
+                   for mask, terms in buckets[k] if not mask & low]
+        rest = [terms for mask, terms in buckets[k] if mask & low]
         for v in _closing_values(closing, spec, values):
             nodes += 1
             if nodes + rewritten > _MAX_SEARCH_WORK:
@@ -336,15 +360,18 @@ def _search(space: EnumSpace, form: EquationForm):
                 if v:
                     out: dict = {}
                     for c, m in terms:
-                        e = m >> s & field
-                        if e:
+                        if e := m >> s:
                             c *= v ** e
-                            m ^= e << s
+                            m &= low
                         out[m] = out.get(m, 0) + c
                     terms = [(r, m) for m, c in out.items()
                              if (r := reduce(c))]
+                elif type(terms) is tuple:
+                    # still the memo's, or a slice of it, in ascending
+                    # monomial order: the terms of c_k are a suffix
+                    terms = terms[:bisect_left(terms, bound, key=_MONOMIAL)]
                 else:
-                    terms = [t for t in terms if not t[1] >> s & field]
+                    terms = [t for t in terms if t[1] < bound]
                 if not file(terms):
                     break
             else:

@@ -157,12 +157,13 @@ def test_coefficient_system_is_the_generic_j1_defect(rng):
         (0, 0, 0): const,
     }
     # the scan's input is this system: the generic defect of the monomials
-    # of A, B, C and D, in that order, unpacked with its field width
+    # of A, B, C and D, in that order, unpacked with its field width, c_n
+    # in field 3 - n
     bits = oracle._EXP_BITS
     generic = oracle._generic_defect([(1, 1), (1, 0), (0, 1), (0, 0)],
                                      EquationForm.J1, 0)
     assert {xyz: MultiPoly(Z, abcd, {
-        tuple(m >> bits * n & (1 << bits) - 1 for n in range(4)): k
+        tuple(m >> bits * (3 - n) & (1 << bits) - 1 for n in range(4)): k
         for m, k in terms.items()})
         for xyz, terms in generic.items()} == system
 

@@ -327,8 +327,10 @@ def test_generic_defect_is_the_defect(rng):
                         total = spec.zero()
                         for mono, k in terms.items():
                             t = spec.element(k)
-                            for n in range(len(monomials)):
-                                for _ in range(mono >> bits * n
+                            # c_n has field N - 1 - n of N
+                            for n, f in enumerate(reversed(range(
+                                    len(monomials)))):
+                                for _ in range(mono >> bits * f
                                                & (1 << bits) - 1):
                                     t = t * c[n]
                             total = total + t
@@ -339,20 +341,21 @@ def test_generic_defect_is_the_defect(rng):
 
 
 def test_generic_defect_exponents_fit_their_field():
-    # a c_n has exponent up to 1 + the degree cap, and each has the field of
-    # _EXP_BITS bits from bit n*_EXP_BITS up of a packed monomial.  At the
-    # cap, P = c_0*x^cap + c_1*y gives c_0^(cap + 1), and every term of its
-    # defect is c_1 or of degree cap + 1 in the c_n, so a carry out of c_0's
-    # field would show in c_1's or past it.  Two terms keep it small
+    # a c_n has exponent up to 1 + the degree cap, and of N monomials each
+    # has the field of _EXP_BITS bits from bit (N - 1 - n)*_EXP_BITS up of a
+    # packed monomial.  At the cap, P = c_0*x^cap + c_1*y gives
+    # c_0^(cap + 1), and every term of its defect is c_1 or of degree
+    # cap + 1 in the c_n, so a carry out of c_1's field would show in c_0's,
+    # and one out of c_0's past it.  Two terms keep it small
     cap, bits = oracle._MAX_SCAN_DEGREE, oracle._EXP_BITS
     field = (1 << bits) - 1
     generic = oracle._generic_defect([(cap, 0), (0, 1)], EquationForm.J1, 0)
     monos = [m for terms in generic.values() for m in terms]
-    assert max(m & field for m in monos) == cap + 1 <= field
+    assert max(m >> bits for m in monos) == cap + 1 <= field
     assert all(m >> 2 * bits == 0 for m in monos)
     assert {(m & field) + (m >> bits) for m in monos} == {1, cap + 1}
     # read with the field width, it is the defect of 2*x^cap + 3*y
-    value = {e: sum(k * 2 ** (m & field) * 3 ** (m >> bits)
+    value = {e: sum(k * 2 ** (m >> bits) * 3 ** (m & field)
                     for m, k in terms.items())
              for e, terms in generic.items()}
     p = MultiPoly(Z, XY, {(cap, 0): 2, (0, 1): 3})

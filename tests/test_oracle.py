@@ -1,6 +1,8 @@
 """Exhaustive enumeration spaces, reports, and the family cross-checks."""
 
+import functools
 import importlib
+import operator
 import pickle
 import time
 import tracemalloc
@@ -409,6 +411,18 @@ def test_search_work_is_bounded(monkeypatch):
     monkeypatch.setattr(module, "_MAX_SEARCH_WORK", 10_000)
     with pytest.raises(BudgetExceeded, match="budget"):
         enumerate_solutions(space, EquationForm.J1)
+    # where setting c_k = 0 does most of the rewriting, the work counts
+    # every term of a polynomial that the zero branch cuts short: each
+    # search is accepted at its work and refused one unit below it
+    for space, form, work in ((EnumSpace(F3, 2), EquationForm.J6, 608),
+                              (EnumSpace(F5, 3), EquationForm.J6, 24_351),
+                              (EnumSpace(F5, 3), EquationForm.J1, 15_907),
+                              (EnumSpace(Z, 1, 6), EquationForm.J1, 84)):
+        monkeypatch.setattr(module, "_MAX_SEARCH_WORK", work)
+        assert enumerate_solutions(space, form).agreement
+        monkeypatch.setattr(module, "_MAX_SEARCH_WORK", work - 1)
+        with pytest.raises(BudgetExceeded, match="budget"):
+            enumerate_solutions(space, form)
 
 
 def test_search_leaves_are_bounded(monkeypatch):
@@ -457,29 +471,54 @@ def _rotations(e):
     return e, e[1:] + e[:1], e[2:] + e[:2]
 
 
+def _least(mono, n):
+    """The least i with c_i in a packed monomial of n fields, c_i in field
+    n - 1 - i, or n for a constant."""
+    field = (1 << oracle._EXP_BITS) - 1
+    return next((i for i in range(n)
+                 if mono >> oracle._EXP_BITS * (n - 1 - i) & field), n)
+
+
 def _kept(monomials, form, p):
-    """The generic defect's coefficients that the memo keeps, in its order:
-    each distinct one once, first occurrence first, as a tuple of
-    (int, monomial) terms."""
-    seen, kept = set(), []
+    """The generic defect's coefficients that the memo keeps, filed as it
+    files them: bucket k lists, first occurrence first, each distinct one
+    whose least c_n is c_k once, as a frozenset of (monomial, int) pairs."""
+    n = len(monomials)
+    seen, kept = set(), [[] for _ in range(n)]
     for f in oracle._generic_defect(monomials, form, p).values():
         if (key := frozenset(f.items())) not in seen:
             seen.add(key)
-            kept.append(tuple((v, m) for m, v in f.items()))
+            kept[min(_least(m, n) for m in f)].append(key)
     return kept
+
+
+def _read(entry):
+    """A memo entry as `_kept` lists it, whatever the order of the terms."""
+    return [[frozenset((m, v) for v, m in terms) for _, terms in bucket]
+            for bucket in entry]
 
 
 def test_the_memo_holds_the_generic_defect_as_tuples():
     oracle._defect_coefficients.cache_clear()
     for space, form in ((EnumSpace(F3, 2), EquationForm.J1),
                         (EnumSpace(F3, 2), EquationForm.J6),
-                        (EnumSpace(Z, 1, 6), EquationForm.J1)):
-        p = space.spec.characteristic
+                        (EnumSpace(Z, 1, 6), EquationForm.J1),
+                        (EnumSpace(F5, 3), EquationForm.J6)):
+        p, n = space.spec.characteristic, len(space.monomials)
         entry = oracle._defect_coefficients(space.monomials, form, p)
-        assert list(entry) == _kept(space.monomials, form, p)
-        assert type(entry) is tuple
-        for terms in entry:
-            assert type(terms) is tuple and {type(t) for t in terms} == {tuple}
+        assert _read(entry) == _kept(space.monomials, form, p)
+        assert type(entry) is tuple and len(entry) == n
+        for k, bucket in enumerate(entry):
+            assert type(bucket) is tuple
+            for mask, terms in bucket:
+                assert type(terms) is tuple
+                assert {type(t) for t in terms} == {tuple}
+                # the zero branch cuts a suffix off these terms: they ascend
+                # by packed monomial, and the top one holds the least c_n
+                monos = [m for _, m in terms]
+                assert monos == sorted(set(monos))
+                assert _least(monos[-1], n) == k
+                assert mask == functools.reduce(operator.or_, monos)
 
 
 def test_repeated_scans_read_one_expansion():
@@ -508,7 +547,7 @@ def test_a_refused_search_leaves_the_memo_intact(monkeypatch):
     hits = oracle._defect_coefficients.cache_info().hits
     assert enumerate_solutions(space, form) == cold
     assert oracle._defect_coefficients.cache_info().hits == hits + 1
-    assert list(oracle._defect_coefficients(space.monomials, form, 5)) == (
+    assert _read(oracle._defect_coefficients(space.monomials, form, 5)) == (
         _kept(space.monomials, form, 5))
 
 
@@ -530,12 +569,12 @@ def test_the_memo_keeps_one_coefficient_per_rotation_orbit():
                 assert cyclic == (form in (EquationForm.J1, EquationForm.J2)
                                   or cap == 0)
                 entry = oracle._defect_coefficients(monomials, form, p)
-                assert list(entry) == _kept(monomials, form, p)
+                assert _read(entry) == _kept(monomials, form, p)
                 if cyclic:
                     # the coefficients of an orbit are equal, so at most
                     # one of them is kept
                     orbits = {min(_rotations(e)) for e in generic}
-                    assert len(entry) <= len(orbits)
+                    assert sum(map(len, entry)) <= len(orbits)
 
 
 def test_the_memo_files_each_distinct_coefficient_once():
@@ -554,22 +593,24 @@ def test_the_memo_files_each_distinct_coefficient_once():
         oracle._defect_coefficients.cache_clear()
         monomials, p = oracle._monomials(cap), spec.characteristic
         entry = oracle._defect_coefficients(monomials, form, p)
-        assert len(entry) == size
-        assert list(entry) == _kept(monomials, form, p)
+        assert sum(map(len, entry)) == size
+        assert _read(entry) == _kept(monomials, form, p)
     # the four residuals 3A^2, 3BD + 3D, 2AB + AC and AD + B^2 + BC + C,
-    # the monomials of A, B, C and D being c_0, c_1, c_2 and c_3
+    # the monomials of A, B, C and D being c_0, c_1, c_2 and c_3, in fields
+    # 3, 2, 1 and 0
     bits = oracle._EXP_BITS
     entry = oracle._defect_coefficients(oracle._monomials(1),
                                         EquationForm.J1, 0)
-    residuals = {frozenset((sum(e << bits * n for n, e in enumerate(mono)), k)
+    residuals = {frozenset((sum(e << bits * (3 - n)
+                                for n, e in enumerate(mono)), k)
                            for mono, k in terms.items())
                  for terms in ({(2, 0, 0, 0): 3},
                                {(0, 1, 0, 1): 3, (0, 0, 0, 1): 3},
                                {(1, 1, 0, 0): 2, (1, 0, 1, 0): 1},
                                {(1, 0, 0, 1): 1, (0, 2, 0, 0): 1,
                                 (0, 1, 1, 0): 1, (0, 0, 1, 0): 1})}
-    assert {frozenset((m, k) for k, m in terms) for terms in entry} == (
-        residuals)
+    assert {frozenset((m, k) for k, m in terms)
+            for bucket in entry for _, terms in bucket} == residuals
 
 
 def test_the_memo_keeps_at_most_four_entries():
