@@ -36,14 +36,21 @@ the last c_n in its lowest, so the top term of a polynomial holds its least
 unset c_n.  The memo keeps each coefficient filed, its terms in ascending
 monomial order, and a search starts from a copy of its buckets.  Setting
 c_k = 0 drops the terms that hold c_k, and in a polynomial still in that
-order they are the terms from the first one at c_k's field up: one
-bisection and a slice.  Setting c_k to another value rewrites term by term
+order they are the terms from the first one at c_k's field up, so what is
+left is a prefix.  The memo also keeps each coefficient's zero chain: the
+length and the monomials' OR of each prefix left as its top fields are set
+to 0 in turn.  On a memo polynomial, c_k = 0 reads the next node of that
+chain and touches no term, as the two watched literals of a SAT solver let
+an assignment visit a clause in O(1), not literal by literal (Moskewicz et
+al., "Chaff", 2001).  Setting c_k to another value rewrites term by term
 and leaves the terms unordered, so a later c_k = 0 filters them one by one.
 
 The search raises `BudgetExceeded` past `_MAX_SEARCH_WORK` units of work,
 values tried plus terms rewritten, or past `_MAX_SCAN_LEAVES` leaves.  A
-space with more coefficient values than the work bound is refused when it
-is built: a position that no closing polynomial fixes tries every one.
+step along a zero chain counts the terms of the prefix it starts from, as a
+rewrite would.  A space with more coefficient values than the work bound is
+refused when it is built: a position that no closing polynomial fixes tries
+every one.
 """
 
 from __future__ import annotations
@@ -66,11 +73,13 @@ from .rings import RingSpec
 # of P up to the cap, so an exponent in `_generic_defect` is at most cap + 1.
 _MAX_SCAN_DEGREE = 4
 _EXP_BITS = (_MAX_SCAN_DEGREE + 1).bit_length()
-# A unit of search work, a value tried or a term rewritten, took 0.076-0.95 us
+# A unit of search work, a value tried or a term rewritten, took 0.005-0.9 us
 # over 24 spaces, zp:3, zp:5 and zp:7 at degrees 1-4 for j1 and j6 (Python
-# 3.11, 2.1 GHz Xeon), so a search ends within about 1.5-19 s.  At degree 4,
-# zp:31 for j1 and j2, 18.5 M units (123 683 values tried, 9.5 s), is
-# accepted, and zp:37, 30.5 M units, is refused.
+# 3.11, 2.1 GHz Xeon), so a search ends within about 0.1-18 s.  The least
+# is j6 at degree 4, whose units are nearly all terms of prefixes that step
+# along a zero chain, and the most is degree 1.  At degree 4, zp:31 for j1
+# and j2, 18.5 M units (123 683 values tried, 7 s), is accepted, and zp:37,
+# 30.5 M units, is refused.
 _MAX_SEARCH_WORK = 2 * 10**7
 # A leaf costs a `defect` and a family member, about 0.1 ms: zp:10007 at
 # degree 1 (10 006 leaves) takes 1.1 s, and zp:1000003 there took 197 s.
@@ -250,16 +259,22 @@ def _generic_defect(monomials, form: EquationForm, p: int) -> dict:
     return _compose(form, terms, {0: 1}, {0: -1}, mul, add)
 
 
-# at degree 4 an entry holds 12 MiB for j1 and j2 and 34 MiB for j5 and j6
-# (0.7 and 1.7 MiB over zp:3)
+# at degree 4 an entry holds 12 MiB for j1 and j2 and 35.5 MiB for j5 and j6
+# over zp:5 (0.7 and 2.2 MiB over zp:3), 0.3 and 1.3 MiB of it zero chains
 @functools.lru_cache(maxsize=4)
 def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
     """Each distinct coefficient of `_generic_defect` once, filed as the
-    search starts: bucket k holds a (mask, terms) pair for each one whose
-    least c_n is c_k, in the expansion's order, where mask is the OR of its
-    monomials and terms a tuple of (int, monomial) pairs in ascending
-    monomial order, which no search can change.  Equal ones are found
-    within groups of equal length and monomial sum."""
+    search starts: bucket k holds a (mask, terms, cut, next) entry for each
+    one whose least c_n is c_k, in the expansion's order, where terms is a
+    tuple of (int, monomial) pairs in ascending monomial order, which no
+    search can change, cut is its length and mask the OR of its monomials.
+    next starts its zero chain of (mask, cut, next) nodes, one for each
+    field that tops one of its terms.  Counting the entry as node 0, node i
+    stands for terms[:cut], what is left once its top i fields are set to
+    0, and mask is that prefix's OR.  The last node has mask 0, and cut 1
+    when the coefficient has a constant term, 0 when it has none.  Equal
+    coefficients are found within groups of equal length and monomial
+    sum."""
     groups: dict = {}
     buckets: list = [[] for _ in monomials]
     last = len(monomials) - 1
@@ -267,10 +282,24 @@ def _defect_coefficients(monomials, form: EquationForm, p: int) -> tuple:
         group = groups.setdefault((len(f), sum(f)), [])
         if f not in group:
             group.append(f)
+            terms = tuple(sorted(zip(f.values(), f), key=_MONOMIAL))
+            # bottom up: the least prefix is the constant, if any, and each
+            # next one runs to the end of the top field of its first new term
+            low = bisect_left(terms, 1, key=_MONOMIAL)
+            node, mask = (0, low, None), 0
+            while low < len(terms):
+                field = (terms[low][1].bit_length() - 1) // _EXP_BITS + 1
+                cut = bisect_left(terms, 1 << field * _EXP_BITS, low,
+                                  key=_MONOMIAL)
+                # a loop beat functools.reduce on these short runs: 32 against
+                # 39 ms for the 18 642 nodes of zp:5 d4 j6
+                for _, m in terms[low:cut]:
+                    mask |= m
+                node, low = (mask, cut, node), cut
             # every term has a c_n, so the mask is nonzero
-            mask = functools.reduce(operator.or_, f)
+            mask, cut, chain = node
             buckets[last - (mask.bit_length() - 1) // _EXP_BITS].append(
-                (mask, tuple(sorted(zip(f.values(), f), key=_MONOMIAL))))
+                (mask, terms, cut, chain))
     return tuple(map(tuple, buckets))
 
 
@@ -307,25 +336,13 @@ def _search(space: EnumSpace, form: EquationForm):
     values = space.coefficient_values
     n = len(space.monomials)
     last = n - 1
-    # bucket k holds (mask, terms) for each polynomial whose least unset c_n
-    # is c_k, reduced by c_0, ..., c_(k-1); mask is the OR of its monomials.
-    # It starts as the memo's filing.  filed logs the bucket of every later
-    # filing, so a node can undo its own
+    # bucket k holds (mask, terms, cut, next) for each polynomial whose least
+    # unset c_n is c_k, reduced by c_0, ..., c_(k-1): terms[:cut], whose OR
+    # is mask.  It starts as the memo's filing, and next is the rest of the
+    # zero chain of a memo prefix, or None for a list that a rewrite made.
+    # filed logs the bucket of every later filing, so a node can undo its own
     buckets = list(map(list, _defect_coefficients(space.monomials, form, p)))
     filed: list[int] = []
-
-    def file(terms) -> bool:
-        """File a reduced polynomial; False when it is a nonzero constant."""
-        mask = 0
-        for _, m in terms:
-            mask |= m
-        if not mask:  # a constant, nonzero unless no term is left
-            return not terms
-        k = last - (mask.bit_length() - 1) // _EXP_BITS
-        buckets[k].append((mask, terms))
-        filed.append(k)
-        return True
-
     combo = [0] * n
     leaves = []
     nodes = rewritten = 0
@@ -340,9 +357,9 @@ def _search(space: EnumSpace, form: EquationForm):
         # a polynomial in c_k alone is decided by the value of c_k, so these
         # are read before anything is rewritten (filing them instead made
         # the counted work 2-3x: zp:10007 at degree 0, zp:1009 at 1)
-        closing = [[(c, m >> s) for c, m in terms]
-                   for mask, terms in buckets[k] if not mask & low]
-        rest = [terms for mask, terms in buckets[k] if mask & low]
+        closing = [[(c, m >> s) for c, m in terms[:cut]]
+                   for mask, terms, cut, _ in buckets[k] if not mask & low]
+        rest = [entry for entry in buckets[k] if entry[0] & low]
         for v in _closing_values(closing, spec, values):
             nodes += 1
             if nodes + rewritten > _MAX_SEARCH_WORK:
@@ -354,26 +371,38 @@ def _search(space: EnumSpace, form: EquationForm):
                 continue
             combo[k] = v
             mark = len(filed)
-            for terms in rest:
-                rewritten += len(terms)
-                # dropping at c_k = 0 beat rewriting 1.6x on zp:5 d4 j1
-                if v:
-                    out: dict = {}
-                    for c, m in terms:
-                        if e := m >> s:
-                            c *= v ** e
-                            m &= low
-                        out[m] = out.get(m, 0) + c
-                    terms = [(r, m) for m, c in out.items()
-                             if (r := reduce(c))]
-                elif type(terms) is tuple:
-                    # still the memo's, or a slice of it, in ascending
-                    # monomial order: the terms of c_k are a suffix
-                    terms = terms[:bisect_left(terms, bound, key=_MONOMIAL)]
+            for _, terms, cut, chain in rest:
+                rewritten += cut
+                if not v and chain is not None:
+                    # a memo prefix: the next node of its zero chain is the
+                    # prefix without the terms of c_k
+                    mask, cut, chain = chain
                 else:
-                    terms = [t for t in terms if t[1] < bound]
-                if not file(terms):
-                    break
+                    # dropping at c_k = 0 beat rewriting 1.6x on zp:5 d4 j1
+                    if v:
+                        if chain is not None:
+                            terms = terms[:cut]
+                        out: dict = {}
+                        for c, m in terms:
+                            if e := m >> s:
+                                c *= v ** e
+                                m &= low
+                            out[m] = out.get(m, 0) + c
+                        terms = [(r, m) for m, c in out.items()
+                                 if (r := reduce(c))]
+                    else:
+                        terms = [t for t in terms if t[1] < bound]
+                    mask = 0
+                    for _, m in terms:
+                        mask |= m
+                    cut, chain = len(terms), None
+                if not mask:  # a constant, nonzero unless no term is left
+                    if cut:
+                        break
+                    continue
+                j = last - (mask.bit_length() - 1) // _EXP_BITS
+                buckets[j].append((mask, terms, cut, chain))
+                filed.append(j)
             else:
                 if k + 1 < n:
                     descend(k + 1)

@@ -1,5 +1,6 @@
 """Exhaustive enumeration spaces, reports, and the family cross-checks."""
 
+import bisect
 import functools
 import importlib
 import operator
@@ -417,7 +418,8 @@ def test_search_work_is_bounded(monkeypatch):
     for space, form, work in ((EnumSpace(F3, 2), EquationForm.J6, 608),
                               (EnumSpace(F5, 3), EquationForm.J6, 24_351),
                               (EnumSpace(F5, 3), EquationForm.J1, 15_907),
-                              (EnumSpace(Z, 1, 6), EquationForm.J1, 84)):
+                              (EnumSpace(Z, 1, 6), EquationForm.J1, 84),
+                              (EnumSpace(F3, 4), EquationForm.J6, 36_905)):
         monkeypatch.setattr(module, "_MAX_SEARCH_WORK", work)
         assert enumerate_solutions(space, form).agreement
         monkeypatch.setattr(module, "_MAX_SEARCH_WORK", work - 1)
@@ -493,9 +495,20 @@ def _kept(monomials, form, p):
 
 
 def _read(entry):
-    """A memo entry as `_kept` lists it, whatever the order of the terms."""
-    return [[frozenset((m, v) for v, m in terms) for _, terms in bucket]
-            for bucket in entry]
+    """A memo entry as `_kept` lists it, whatever the order of the terms:
+    each polynomial is the prefix terms[:cut] of its (mask, terms, cut,
+    next) entry, as the search reads it."""
+    return [[frozenset((m, v) for v, m in terms[:cut])
+             for _, terms, cut, _ in bucket] for bucket in entry]
+
+
+def _or(terms):
+    return functools.reduce(operator.or_, (m for _, m in terms), 0)
+
+
+def _top_field(mask):
+    """The top nonzero field of a packed monomial or mask."""
+    return (mask.bit_length() - 1) // oracle._EXP_BITS
 
 
 def test_the_memo_holds_the_generic_defect_as_tuples():
@@ -510,8 +523,8 @@ def test_the_memo_holds_the_generic_defect_as_tuples():
         assert type(entry) is tuple and len(entry) == n
         for k, bucket in enumerate(entry):
             assert type(bucket) is tuple
-            for mask, terms in bucket:
-                assert type(terms) is tuple
+            for mask, terms, cut, chain in bucket:
+                assert type(terms) is tuple and cut == len(terms)
                 assert {type(t) for t in terms} == {tuple}
                 # the zero branch cuts a suffix off these terms: they ascend
                 # by packed monomial, and the top one holds the least c_n
@@ -519,6 +532,58 @@ def test_the_memo_holds_the_generic_defect_as_tuples():
                 assert monos == sorted(set(monos))
                 assert _least(monos[-1], n) == k
                 assert mask == functools.reduce(operator.or_, monos)
+                # one chain node per field that tops a term: each node's
+                # cut is where the previous prefix's top field starts, and
+                # its mask is the OR of the prefix that cut leaves
+                tops = {_top_field(m) for m in monos if m}
+                node, steps = (mask, cut, chain), 0
+                while node[0]:
+                    bound = 1 << _top_field(node[0]) * oracle._EXP_BITS
+                    node = node[2]
+                    steps += 1
+                    assert type(node) is tuple and len(node) == 3
+                    assert node[1] == bisect.bisect_left(
+                        terms, bound, key=operator.itemgetter(1))
+                    assert node[0] == _or(terms[:node[1]])
+                assert steps == len(tops)
+                # the chain ends at mask 0, with cut 1 exactly when the
+                # coefficient has a constant term.  P = 0 solves every form,
+                # so none has one, and a cut of 1 there would prune every
+                # candidate that sets all of the coefficient's c_n to 0
+                assert node[2] is None
+                assert node[1] == (monos[0] == 0)
+                assert monos[0]
+
+
+def test_the_zero_chain_walks_the_slices_of_the_zero_branch():
+    # setting the top field of a sorted polynomial to 0 keeps the terms
+    # below that field's first one: one bisection and a slice per step.
+    # Each step along a memo polynomial's zero chain names that slice's
+    # length and OR, down to the constant that is left, or to no term
+    mono = operator.itemgetter(1)
+    for spec, cap, form in ((F3, 2, EquationForm.J1),
+                            (F3, 2, EquationForm.J6),
+                            (F5, 3, EquationForm.J6),
+                            (Z, 1, EquationForm.J1),
+                            (F2, 4, EquationForm.J6)):
+        oracle._defect_coefficients.cache_clear()
+        entry = oracle._defect_coefficients(oracle._monomials(cap), form,
+                                            spec.characteristic)
+        walked = 0
+        for bucket in entry:
+            for mask, terms, cut, chain in bucket:
+                node, view = (mask, cut, chain), terms
+                while True:
+                    assert terms[:node[1]] == view
+                    assert node[0] == _or(view)
+                    if not node[0]:
+                        break
+                    s = _top_field(node[0]) * oracle._EXP_BITS
+                    view = view[:bisect.bisect_left(view, 1 << s, key=mono)]
+                    node = node[2]
+                    walked += 1
+                assert node[2] is None and len(view) <= 1
+        assert walked > sum(map(len, entry))
 
 
 def test_repeated_scans_read_one_expansion():
@@ -609,8 +674,8 @@ def test_the_memo_files_each_distinct_coefficient_once():
                                {(1, 1, 0, 0): 2, (1, 0, 1, 0): 1},
                                {(1, 0, 0, 1): 1, (0, 2, 0, 0): 1,
                                 (0, 1, 1, 0): 1, (0, 0, 1, 0): 1})}
-    assert {frozenset((m, k) for k, m in terms)
-            for bucket in entry for _, terms in bucket} == residuals
+    assert {frozenset((m, k) for k, m in terms[:cut])
+            for bucket in entry for _, terms, cut, _ in bucket} == residuals
 
 
 def test_the_memo_keeps_at_most_four_entries():
